@@ -8,12 +8,17 @@ use std::hint::black_box;
 use hhsim_core::arch::CoreKind;
 use hhsim_core::cluster::{
     run_phase, Cluster, ClusterTimeline, FifoAnySlot, KindPreferring, NodeTiming, PhaseLoad,
-    TaskSet,
+    PhaseRun, Placement, TaskSet,
 };
 use hhsim_core::energy::MetricKind;
 use hhsim_core::hdfs::BlockSize;
 use hhsim_core::workloads::AppId;
 use hhsim_core::{simulate_cluster, NodeMix, PlacementKind, SimConfig};
+
+/// One fault-free engine run.
+fn drain(cluster: &Cluster, load: &PhaseLoad, placement: &mut dyn Placement) -> PhaseRun {
+    run_phase(cluster, load, placement, None, None).expect("fault-free phase drains")
+}
 
 fn big_little_timings() -> (NodeTiming, NodeTiming) {
     (
@@ -37,13 +42,13 @@ fn bench_run_phase(c: &mut Criterion) {
         let load = PhaseLoad::by_kind(tasks, tb, tl, &cluster);
         g.throughput(Throughput::Elements(tasks as u64));
         g.bench_function(format!("fifo_any/{tasks}_tasks"), |b| {
-            b.iter(|| black_box(run_phase(&cluster, &load, &mut FifoAnySlot)).makespan_s)
+            b.iter(|| black_box(drain(&cluster, &load, &mut FifoAnySlot)).makespan_s)
         });
         g.bench_function(format!("kind_aware/{tasks}_tasks"), |b| {
             let mut p = KindPreferring {
                 preferred: CoreKind::Little,
             };
-            b.iter(|| black_box(run_phase(&cluster, &load, &mut p)).makespan_s)
+            b.iter(|| black_box(drain(&cluster, &load, &mut p)).makespan_s)
         });
     }
     g.finish();
@@ -58,7 +63,7 @@ fn bench_trace_export(c: &mut Criterion) {
         task_seconds: 6.0,
         overhead_seconds: 0.3,
     };
-    let run = run_phase(
+    let run = drain(
         &cluster,
         &PhaseLoad::uniform(&set, &cluster),
         &mut FifoAnySlot,

@@ -17,7 +17,8 @@
 //! three times each and asserts an events/sec floor on the **median**
 //! sample per config (a single sample on a shared runner can dip far
 //! below steady-state throughput when the run lands on a noisy
-//! neighbour; the median of three is stable), asserts the streaming
+//! neighbour; the median of three is stable), asserts a peak-RSS
+//! ceiling after the contended config, asserts the streaming
 //! exporters' RSS growth stays flat, and validates the checked-in
 //! `BENCH_cluster.json` shape. The contended config drains the same
 //! grid through the topology-aware launch path (per-attempt locality
@@ -91,6 +92,14 @@ const CONTENDED_RACKS: usize = 20;
 /// shared runners.
 const CHECK_FLOOR_EVENTS_PER_SEC: f64 = 20_000.0;
 
+/// Peak-RSS (VmHWM) ceiling in `--check`, read right after the contended
+/// config's samples. The engine measured 18,860 kB there before its
+/// fault-free arm was folded into the attempt-aware engine (x86_64
+/// Linux, release profile); the ceiling allows 30 % on top. Attempt
+/// state must stay bounded by cluster capacity: a per-task attempt list
+/// costs ~35 MB at 100k tasks and trips it.
+const CHECK_CONTENDED_RSS_CEILING_KB: u64 = 24 * 1024;
+
 /// RSS-growth ceiling for the streaming-export probe in `--check`:
 /// streaming a six-figure-span timeline into a sink must not grow the
 /// process high-water mark by more than a fixed few MB of buffers.
@@ -157,7 +166,8 @@ fn bench_engine(cfg: &ScaleConfig) -> (f64, f64) {
             .with_extra_seconds((0..cfg.tasks).map(|t| (t % 5) as f64 * 0.1).collect());
     }
     let started = Instant::now();
-    let run = run_phase(&cluster, &load, &mut FifoAnySlot);
+    let run =
+        run_phase(&cluster, &load, &mut FifoAnySlot, None, None).expect("fault-free phase drains");
     let elapsed = started.elapsed().as_secs_f64();
     assert_eq!(run.spans.len(), cfg.tasks, "every task completes");
     (cfg.tasks as f64 / elapsed.max(1e-9), elapsed)
@@ -179,7 +189,8 @@ fn export_rss_probe() -> (usize, u64) {
         },
         &cluster,
     );
-    let run = run_phase(&cluster, &load, &mut FifoAnySlot);
+    let run =
+        run_phase(&cluster, &load, &mut FifoAnySlot, None, None).expect("fault-free phase drains");
     let mut tl = ClusterTimeline::new(&cluster);
     tl.extend("map", 0.0, &run);
     tl.extend("reduce", run.makespan_s, &run);
@@ -248,6 +259,16 @@ fn main() {
                  median {eps:.0} < {CHECK_FLOOR_EVENTS_PER_SEC} events/s",
                 cfg.name
             );
+            if cfg.contended {
+                let hwm = vm_hwm_kb();
+                println!("check: {} -> peak RSS {hwm} kB", cfg.name);
+                assert!(
+                    hwm <= CHECK_CONTENDED_RSS_CEILING_KB,
+                    "cluster engine memory ({}) grew past the ceiling: \
+                     peak RSS {hwm} kB > {CHECK_CONTENDED_RSS_CEILING_KB} kB",
+                    cfg.name
+                );
+            }
         }
         #[cfg(feature = "streaming-export")]
         {

@@ -68,7 +68,7 @@ fn large_synthetic_timeline_streams_identically() {
         },
         &c,
     );
-    let run = run_phase(&c, &l, &mut FifoAnySlot);
+    let run = run_phase(&c, &l, &mut FifoAnySlot, None, None).expect("fault-free phase drains");
     let mut tl = ClusterTimeline::new(&c);
     tl.extend("map", 0.0, &run);
     tl.extend("reduce", run.makespan_s, &run);

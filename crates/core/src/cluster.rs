@@ -24,6 +24,11 @@
 //! placement) is **bit-identical** to the flat `makespan()` slot-pool
 //! model this engine replaced: same FIFO grant order, same per-task
 //! jitter, same integer-nanosecond clock arithmetic.
+//!
+//! One attempt-aware engine serves every phase through [`run_phase`]:
+//! `faults = None` drains a fault-free phase, and a [`PhaseFaults`]
+//! layer adds failed and killed attempts, re-execution, speculation and
+//! blacklisting on the same calendar.
 
 use hhsim_arch::CoreKind;
 use hhsim_des::{EventId, SimTime, Simulation};
@@ -34,7 +39,7 @@ use hhsim_hdfs::{NodeId as HdfsNodeId, Topology};
 use hhsim_sched::{paper_schedule, CostTable, JobClass};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 use std::io;
 use std::rc::Rc;
@@ -419,13 +424,9 @@ pub struct FreeSlots {
 }
 
 impl FreeSlots {
-    /// All nodes alive and usable (the fault-free engine).
-    fn new(cluster: &Cluster) -> Self {
-        Self::with_dead(cluster, None)
-    }
-
-    /// `dead[n]` nodes start dead: zero free slots, never usable.
-    fn with_dead(cluster: &Cluster, dead: Option<&[bool]>) -> Self {
+    /// Every node's slots free, except that `dead[n]` nodes start dead:
+    /// zero free slots, never usable.
+    fn new(cluster: &Cluster, dead: &[bool]) -> Self {
         let n = cluster.nodes.len();
         let mut fs = FreeSlots {
             free: vec![0; n],
@@ -439,7 +440,7 @@ impl FreeSlots {
             usable_nodes: n,
         };
         for (i, nd) in cluster.nodes.iter().enumerate() {
-            if dead.and_then(|d| d.get(i)).copied().unwrap_or(false) {
+            if dead.get(i).copied().unwrap_or(false) {
                 if let Some(a) = fs.alive.get_mut(i) {
                     *a = false;
                 }
@@ -883,171 +884,23 @@ pub struct PhaseRun {
     pub faults: FaultStats,
 }
 
-/// Mutable state shared between the completion events of one run.
-#[derive(Debug)]
-struct EngineState {
-    slots: FreeSlots,
-    slot_table: SlotTable,
-    slot_waves: Vec<Vec<usize>>,
-    queue: VecDeque<usize>,
-    in_use: usize,
-    max_finish: SimTime,
-    stats: SlotStats,
-}
-
-/// Drains `load` over `cluster` under `placement`, recording a span per
-/// task. All tasks are queued at phase start (time zero) in task order;
-/// a freed slot always goes to the head of the queue (FIFO admission,
-/// placement only chooses *which* free slot).
-///
-/// # Panics
-///
-/// Panics if the cluster has no slots or `load.timing` does not match
-/// the cluster's node count.
-pub fn run_phase(cluster: &Cluster, load: &PhaseLoad, placement: &mut dyn Placement) -> PhaseRun {
-    let capacity = cluster.total_slots();
-    assert!(capacity > 0, "need at least one slot");
-    assert_eq!(
-        load.timing.len(),
-        cluster.nodes.len(),
-        "one timing entry per node"
-    );
-    let mut stats = SlotStats {
-        capacity,
-        ..SlotStats::default()
-    };
-    if load.tasks == 0 {
-        return PhaseRun {
-            makespan_s: 0.0,
-            spans: Vec::new(),
-            slots: stats,
-            wasted: Vec::new(),
-            recovered: Vec::new(),
-            annotations: Vec::new(),
-            faults: FaultStats::default(),
-        };
-    }
-
-    let mut sim = Simulation::new();
-    let mut spans: Vec<Option<TaskSpan>> = vec![None; load.tasks];
-    stats.max_queue_len = load.tasks.saturating_sub(capacity);
-    let state = Rc::new(RefCell::new(EngineState {
-        slots: FreeSlots::new(cluster),
-        slot_table: SlotTable::new(cluster),
-        slot_waves: cluster.nodes.iter().map(|n| vec![0; n.slots]).collect(),
-        queue: (0..load.tasks).collect(),
-        in_use: 0,
-        max_finish: SimTime::ZERO,
-        stats,
-    }));
-
-    // Launches queued tasks while slots are free. Runs synchronously at
-    // phase start and again after every completion event, so grant order
-    // is FIFO at identical virtual times — exactly the slot-pool
-    // semantics of the flat model this engine replaced.
-    let dispatch = |sim: &mut Simulation,
-                    state: &Rc<RefCell<EngineState>>,
-                    placement: &mut dyn Placement,
-                    spans: &mut Vec<Option<TaskSpan>>| {
-        loop {
-            let task = {
-                let st = state.borrow();
-                if st.queue.is_empty() || st.slots.total_free() == 0 {
-                    break;
-                }
-                *st.queue.front().expect("non-empty queue")
-            };
-            let (node, tier) =
-                placement.place_local(task, cluster, &state.borrow().slots, load.locality.as_ref());
-            let now = sim.now();
-            let (slot, wave, dur) = {
-                let mut st = state.borrow_mut();
-                assert!(st.slots.free(node) > 0, "placement chose a busy node");
-                st.queue.pop_front();
-                st.slots.claim(node);
-                st.in_use += 1;
-                let in_use = st.in_use;
-                st.stats.peak_in_use = st.stats.peak_in_use.max(in_use);
-                let slot = st.slot_table.claim_first(node);
-                let wave = match st.slot_waves.get_mut(node).and_then(|w| w.get_mut(slot)) {
-                    Some(w) => {
-                        *w += 1;
-                        *w
-                    }
-                    None => 0, // unreachable: slot ids come from the slot table
-                };
-                if !now.is_zero() {
-                    st.stats.tasks_queued += 1;
-                    st.stats.total_wait_s += now.as_secs_f64();
-                }
-                let t = &load.timing[node];
-                let dur = SimTime::from_secs_f64(
-                    t.task_seconds * jitter(task) + t.overhead_seconds + load.extra_for(task, tier),
-                );
-                (slot, wave, dur)
-            };
-            let finish = now + dur;
-            spans[task] = Some(TaskSpan {
-                phase: String::new(),
-                task,
-                node,
-                slot,
-                wave,
-                queued_s: 0.0,
-                launched_s: now.as_secs_f64(),
-                finished_s: finish.as_secs_f64(),
-                attempt: 1,
-                outcome: AttemptOutcome::Success,
-                tier,
-            });
-            let state = state.clone();
-            sim.schedule_in(dur, move |sim| {
-                let mut st = state.borrow_mut();
-                st.slots.release(node);
-                st.in_use -= 1;
-                st.slot_table.release(node, slot);
-                if sim.now() > st.max_finish {
-                    st.max_finish = sim.now();
-                }
-            });
-        }
-    };
-
-    dispatch(&mut sim, &state, placement, &mut spans);
-    // Drive the calendar one event at a time so the placement policy
-    // (a &mut borrow that cannot move into event closures) runs between
-    // events; `Simulation::run()`'s final clock is the last completion.
-    while sim.step() {
-        dispatch(&mut sim, &state, placement, &mut spans);
-    }
-
-    let st = Rc::try_unwrap(state)
-        .expect("all completion events have run")
-        .into_inner();
-    PhaseRun {
-        makespan_s: st.max_finish.as_secs_f64(),
-        spans: spans
-            .into_iter()
-            .map(|s| s.expect("every task was launched"))
-            .collect(),
-        slots: st.stats,
-        wasted: Vec::new(),
-        recovered: Vec::new(),
-        annotations: Vec::new(),
-        faults: FaultStats::default(),
-    }
-}
-
 /// Flat wall-clock of a homogeneous phase — the engine's answer to the
 /// old `makespan(set, slots)` question (same FIFO waves, same jitter).
 pub fn homogeneous_makespan(set: &TaskSet, nodes: usize, slots: usize, kind: CoreKind) -> f64 {
     let cluster = Cluster::homogeneous(kind, nodes, slots);
-    run_phase(
-        &cluster,
-        &PhaseLoad::uniform(set, &cluster),
-        &mut FifoAnySlot,
-    )
-    .makespan_s
+    let load = PhaseLoad::uniform(set, &cluster);
+    fault_free(run_phase(&cluster, &load, &mut FifoAnySlot, None, None)).makespan_s
+}
+
+/// Unwraps a fault-free [`run_phase`] result. Without faults no attempt
+/// fails, no node dies and every slot stays usable, so the phase always
+/// drains.
+pub(crate) fn fault_free(run: Result<PhaseRun, PhaseError>) -> PhaseRun {
+    match run {
+        Ok(run) => run,
+        // hhsim: allow(panic-in-engine): a fault-free phase on a cluster with slots always drains; an error here is an engine bug
+        Err(e) => unreachable!("fault-free phase failed: {e}"),
+    }
 }
 
 /// A task waiting for a slot, remembering when it (re-)entered the queue.
@@ -1057,24 +910,344 @@ struct QueueEntry {
     queued: SimTime,
 }
 
-/// An attempt currently occupying a slot in the fault-aware engine.
+/// The FIFO of tasks waiting for a slot. Every task enters at phase
+/// start in task order, so that prefix is a counter instead of one entry
+/// per task; tasks re-queued after a failure or a crash follow it.
+#[derive(Debug)]
+struct TaskQueue {
+    /// Lowest never-launched task: `fresh..tasks` wait from time zero.
+    fresh: usize,
+    tasks: usize,
+    requeued: VecDeque<QueueEntry>,
+}
+
+impl TaskQueue {
+    fn new(tasks: usize) -> Self {
+        TaskQueue {
+            fresh: 0,
+            tasks,
+            requeued: VecDeque::new(),
+        }
+    }
+
+    fn front(&self) -> Option<QueueEntry> {
+        if self.fresh < self.tasks {
+            Some(QueueEntry {
+                task: self.fresh,
+                queued: SimTime::ZERO,
+            })
+        } else {
+            self.requeued.front().copied()
+        }
+    }
+
+    fn pop_front(&mut self) {
+        if self.fresh < self.tasks {
+            self.fresh += 1;
+        } else {
+            self.requeued.pop_front();
+        }
+    }
+
+    fn push_back(&mut self, entry: QueueEntry) {
+        self.requeued.push_back(entry);
+    }
+
+    fn len(&self) -> usize {
+        self.tasks - self.fresh + self.requeued.len()
+    }
+}
+
+/// Pool key meaning "no attempt".
+const NO_ATTEMPT: u32 = u32::MAX;
+
+/// An attempt currently occupying a slot: one cache line, so a
+/// completion reads its attempt in a single miss.
 #[derive(Debug, Clone, Copy)]
+#[repr(align(64))]
 struct RunningAttempt {
+    /// Engine task id (a real task, or a re-executed map's synthetic id).
+    task: usize,
     attempt: u32,
-    node: usize,
-    slot: usize,
-    wave: usize,
+    /// Pool key of the next running attempt of the same task. The links
+    /// form a ring; a sole attempt points at itself.
+    sibling: u32,
+    node: u32,
+    slot: u32,
+    wave: u32,
     queued: SimTime,
     launched: SimTime,
-    /// Full would-be runtime on its node (failure truncates it).
-    duration: SimTime,
-    /// Progress rate estimate: 1 / full runtime in seconds.
+    /// LATE's progress-rate estimate: 1 / full runtime in seconds (zero
+    /// when speculation is off).
     rate: f64,
     /// The pending failure-or-completion calendar event.
     event: EventId,
     speculative: bool,
     /// Input locality of this attempt's landing node.
     tier: LocalityTier,
+    /// The task's span still holds what this attempt wrote at launch,
+    /// which is its winning span should it complete.
+    owns_span: bool,
+    /// The task has had a speculative backup; LATE duplicates a task
+    /// once.
+    backed_up: bool,
+}
+
+impl RunningAttempt {
+    fn node(&self) -> usize {
+        widen(self.node)
+    }
+
+    fn slot(&self) -> usize {
+        widen(self.slot)
+    }
+
+    fn wave(&self) -> usize {
+        widen(self.wave)
+    }
+
+    /// This attempt's span as `task`, ended at `now` with `outcome`.
+    fn span(&self, task: usize, now: SimTime, outcome: AttemptOutcome) -> TaskSpan {
+        TaskSpan {
+            phase: String::new(),
+            task,
+            node: self.node(),
+            slot: self.slot(),
+            wave: self.wave(),
+            queued_s: self.queued.as_secs_f64(),
+            launched_s: self.launched.as_secs_f64(),
+            finished_s: now.as_secs_f64(),
+            attempt: self.attempt,
+            outcome,
+            tier: self.tier,
+        }
+    }
+}
+
+/// A flat bitmap over pool keys.
+#[derive(Debug)]
+struct KeyBits(Vec<u64>);
+
+impl KeyBits {
+    fn new(keys: usize) -> Self {
+        KeyBits(vec![0; keys.div_ceil(64)])
+    }
+
+    fn get(&self, key: u32) -> bool {
+        let k = widen(key);
+        self.0.get(k / 64).is_some_and(|w| w & (1 << (k % 64)) != 0)
+    }
+
+    fn set(&mut self, key: u32, on: bool) {
+        let k = widen(key);
+        if let Some(w) = self.0.get_mut(k / 64) {
+            if on {
+                *w |= 1 << (k % 64);
+            } else {
+                *w &= !(1 << (k % 64));
+            }
+        }
+    }
+}
+
+/// The running attempts, keyed by the global id of the slot each one
+/// holds. An attempt holds exactly one slot, so the pool is bounded by
+/// cluster capacity however many tasks the phase drains. A bitmap of
+/// busy keys says which entries are live: removal only clears a bit, and
+/// scans over in-flight attempts walk the set bits.
+#[derive(Debug)]
+struct AttemptPool {
+    /// Global id of each node's slot 0, plus the total as a sentinel.
+    first_slot: Vec<usize>,
+    /// The attempt under each key; stale once its `busy` bit clears.
+    by_slot: Vec<Option<RunningAttempt>>,
+    /// When each key's attempt would finish, failures aside; kept only
+    /// when speculation is on. Only a speculation primary reads it, so
+    /// it stays off the entry's line.
+    due: Vec<SimTime>,
+    /// Attempts each key's slot has run (the spans' waves). Kept apart
+    /// from the entries so a fault-free launch only stores to its entry.
+    waves: Vec<u32>,
+    busy: KeyBits,
+    /// Keys whose attempt is not backed up: the only ones a LATE scan
+    /// must look at, found without touching the other entries.
+    speculable: KeyBits,
+}
+
+impl AttemptPool {
+    fn new(cluster: &Cluster) -> Self {
+        let mut first_slot = Vec::with_capacity(cluster.nodes.len() + 1);
+        let mut total = 0;
+        first_slot.push(0);
+        for n in &cluster.nodes {
+            total += n.slots;
+            first_slot.push(total);
+        }
+        AttemptPool {
+            first_slot,
+            by_slot: vec![None; total],
+            due: vec![SimTime::ZERO; total],
+            waves: vec![0; total],
+            busy: KeyBits::new(total),
+            speculable: KeyBits::new(total),
+        }
+    }
+
+    /// Pool key of `slot` on `node`. Keys fit in `u32`: [`run_phase`]
+    /// rejects clusters with `NO_ATTEMPT` or more slots.
+    fn key(&self, node: usize, slot: usize) -> u32 {
+        let global = self.first_slot.get(node).copied().unwrap_or(0) + slot;
+        u32::try_from(global).unwrap_or(NO_ATTEMPT)
+    }
+
+    /// Counts one more attempt on the slot under `key` and returns its
+    /// wave there.
+    fn next_wave(&mut self, key: u32) -> u32 {
+        match self.waves.get_mut(widen(key)) {
+            Some(w) => {
+                *w += 1;
+                *w
+            }
+            None => 0, // unreachable: keys come from the slot table
+        }
+    }
+
+    fn get(&self, key: u32) -> Option<&RunningAttempt> {
+        if !self.busy.get(key) {
+            return None;
+        }
+        self.by_slot.get(widen(key))?.as_ref()
+    }
+
+    fn get_mut(&mut self, key: u32) -> Option<&mut RunningAttempt> {
+        if !self.busy.get(key) {
+            return None;
+        }
+        self.by_slot.get_mut(widen(key))?.as_mut()
+    }
+
+    /// Adds `r` under the `key` of its slot — joining the ring of
+    /// `rival`'s task for a speculative backup.
+    fn insert(&mut self, key: u32, mut r: RunningAttempt, rival: Option<u32>) {
+        r.sibling = key;
+        if let Some(k) = rival {
+            if let Some(p) = self.get_mut(k) {
+                r.sibling = std::mem::replace(&mut p.sibling, key);
+                p.owns_span = false;
+                p.backed_up = true;
+            }
+            self.speculable.set(k, false);
+        }
+        if let Some(s) = self.by_slot.get_mut(widen(key)) {
+            *s = Some(r);
+            self.busy.set(key, true);
+            self.speculable.set(key, !r.backed_up);
+        }
+    }
+
+    /// When the attempt under `key` would finish, failures aside.
+    fn due(&self, key: u32) -> Option<SimTime> {
+        self.due.get(widen(key)).copied()
+    }
+
+    fn set_due(&mut self, key: u32, due: SimTime) {
+        if let Some(d) = self.due.get_mut(widen(key)) {
+            *d = due;
+        }
+    }
+
+    /// Detaches the attempt under `key` if it is attempt `attempt`.
+    /// Its `sibling` still names a running rival unless it was its
+    /// task's sole attempt (then it names `key` itself).
+    fn take(&mut self, key: u32, attempt: u32) -> Option<RunningAttempt> {
+        let r = *self.get(key).filter(|r| r.attempt == attempt)?;
+        self.busy.set(key, false);
+        let mut k = r.sibling;
+        while k != key {
+            let Some(a) = self.get_mut(k) else { break };
+            if a.sibling == key {
+                a.sibling = r.sibling;
+                break;
+            }
+            k = a.sibling;
+        }
+        Some(r)
+    }
+
+    /// Detaches the attempt under `key` if it was never backed up — then
+    /// it is its task's only attempt — and says whether it did.
+    fn take_lone(&mut self, key: u32) -> bool {
+        let lone = self.busy.get(key) && self.speculable.get(key);
+        if lone {
+            self.busy.set(key, false);
+        }
+        lone
+    }
+
+    /// Detaches the newest attempt of the ring holding `start`; returns
+    /// it and a key of a remaining ring member, if any.
+    fn pop_newest(&mut self, start: u32) -> Option<(RunningAttempt, Option<u32>)> {
+        let first = self.get(start)?;
+        let (mut newest, mut newest_attempt, mut k) = (start, first.attempt, first.sibling);
+        while k != start {
+            let a = self.get(k)?;
+            if a.attempt > newest_attempt {
+                (newest, newest_attempt) = (k, a.attempt);
+            }
+            k = a.sibling;
+        }
+        let r = self.take(newest, newest_attempt)?;
+        let rest = (r.sibling != newest).then_some(r.sibling);
+        Some((r, rest))
+    }
+
+    /// Running attempts on `node`'s slots, with their keys.
+    fn on_node(&self, node: usize) -> impl Iterator<Item = (u32, &RunningAttempt)> + '_ {
+        let lo = self.first_slot.get(node).copied().unwrap_or(0);
+        let hi = self.first_slot.get(node + 1).copied().unwrap_or(lo);
+        (lo..hi).filter_map(move |g| {
+            let key = u32::try_from(g).ok()?;
+            Some((key, self.get(key)?))
+        })
+    }
+
+    /// Running attempts with their keys, in ascending key order: every
+    /// one, or with `speculable_only` just those not backed up.
+    fn iter(&self, speculable_only: bool) -> impl Iterator<Item = (u32, &RunningAttempt)> + '_ {
+        let words = self.busy.0.iter().zip(&self.speculable.0).enumerate();
+        words.flat_map(move |(w, (&busy, &spec))| {
+            let mut bits = if speculable_only { busy & spec } else { busy };
+            std::iter::from_fn(move || {
+                if bits == 0 {
+                    return None;
+                }
+                let b = widen(bits.trailing_zeros());
+                bits &= bits - 1;
+                let key = u32::try_from(w * 64 + b).ok()?;
+                Some((key, self.by_slot.get(widen(key))?.as_ref()?))
+            })
+        })
+    }
+}
+
+/// Recovery counters of one task.
+#[derive(Debug, Clone, Copy)]
+struct TaskState {
+    next_attempt: u32,
+    failed: u32,
+    speculated: bool,
+}
+
+impl TaskState {
+    /// A task that has run `launches` attempts, none failed or
+    /// speculated.
+    fn after_launches(launches: u32) -> Self {
+        TaskState {
+            next_attempt: launches + 1,
+            failed: 0,
+            speculated: false,
+        }
+    }
 }
 
 /// Map-output availability context for a reduce phase, enabling
@@ -1114,8 +1287,8 @@ struct FetchCtx {
     read_seconds: [f64; 3],
     map_timing: Vec<NodeTiming>,
     /// Synthetic engine task id per lost map (`usize::MAX` = never
-    /// lost). Ids live past `base_tasks` so per-task recovery vectors
-    /// never collide with reduce task ids.
+    /// lost). Ids live past `base_tasks` so per-task recovery state
+    /// never collides with reduce task ids.
     engine_of: Vec<usize>,
     /// Engine id − `base_tasks` → map task id.
     reexec_map: Vec<usize>,
@@ -1130,36 +1303,28 @@ struct FetchCtx {
     gated: Vec<QueueEntry>,
 }
 
-/// Shared state of one fault-aware engine run.
+/// Shared state of one engine run.
 #[derive(Debug)]
-struct FaultState {
-    // Slot bookkeeping (mirrors the fault-free `EngineState`). `slots`
-    // also carries node health: dead and blacklisted nodes are unusable.
+struct PhaseState {
+    // Slot bookkeeping. `slots` also carries node health: dead and
+    // blacklisted nodes are unusable.
     slots: FreeSlots,
     slot_table: SlotTable,
-    slot_waves: Vec<Vec<usize>>,
-    queue: VecDeque<QueueEntry>,
+    queue: TaskQueue,
     in_use: usize,
     max_finish: SimTime,
     stats: SlotStats,
     node_failures: Vec<u32>,
-    // Per-task recovery state.
-    running: Vec<Vec<RunningAttempt>>,
-    /// Tasks with at least one attempt in flight (unordered dense set,
-    /// `running_pos` is the index of each member). Keeps the LATE
-    /// speculation scan and node-crash cleanup proportional to the
-    /// in-flight count — bounded by cluster capacity — instead of the
-    /// total task count.
-    running_tasks: Vec<usize>,
-    running_pos: Vec<usize>,
-    failed: Vec<u32>,
-    next_attempt: Vec<u32>,
-    done: Vec<bool>,
-    speculated: Vec<bool>,
-    /// In the queue or in a backoff window (neither running nor done).
-    waiting: Vec<bool>,
+    // Attempt and per-task recovery state.
+    attempts: AttemptPool,
+    /// Counters of the tasks that have failed, been relaunched or been
+    /// speculated, and of every re-executed map. Any other task has run
+    /// at most its first attempt, so a fault-free phase keeps no
+    /// per-task state beyond its spans.
+    retries: BTreeMap<usize, TaskState>,
     pending: usize,
-    // LATE progress-rate statistics over every attempt launched so far.
+    // LATE progress-rate statistics over every attempt launched so far
+    // (kept only when speculation is on).
     rate_sum: f64,
     rate_count: u64,
     // Outputs.
@@ -1183,24 +1348,17 @@ struct FaultState {
     fetch: Option<FetchCtx>,
 }
 
-/// Sentinel for "task not in the in-flight set".
-const NOT_RUNNING: usize = usize::MAX;
-
-impl FaultState {
-    /// Marks the first idle slot on `node` busy; returns `(slot, wave)`.
-    fn claim_slot(&mut self, node: usize) -> (usize, usize) {
+impl PhaseState {
+    /// Marks the first idle slot on `node` busy; returns the slot, its
+    /// pool key and the new attempt's wave there.
+    fn claim_slot(&mut self, node: usize) -> (usize, u32, u32) {
         self.slots.claim(node);
         self.in_use += 1;
         let in_use = self.in_use;
         self.stats.peak_in_use = self.stats.peak_in_use.max(in_use);
         let slot = self.slot_table.claim_first(node);
-        match self.slot_waves.get_mut(node).and_then(|w| w.get_mut(slot)) {
-            Some(w) => {
-                *w += 1;
-                (slot, *w)
-            }
-            None => (slot, 0), // unreachable: slot ids come from the table
-        }
+        let key = self.attempts.key(node, slot);
+        (slot, key, self.attempts.next_wave(key))
     }
 
     /// Returns an attempt's slot to the pool (no-op free count on a node
@@ -1211,51 +1369,44 @@ impl FaultState {
         self.slot_table.release(node, slot);
     }
 
-    /// Adds `task` to the in-flight set (idempotent).
-    fn note_running(&mut self, task: usize) {
-        if self.running_pos.get(task).copied() != Some(NOT_RUNNING) {
-            return;
-        }
-        if let Some(p) = self.running_pos.get_mut(task) {
-            *p = self.running_tasks.len();
-            self.running_tasks.push(task);
+    /// Map task re-executed under engine id `id`, if `id` is synthetic.
+    fn reexec_map_of(&self, id: usize) -> Option<usize> {
+        let off = id.checked_sub(self.base_tasks)?;
+        self.fetch.as_ref()?.reexec_map.get(off).copied()
+    }
+
+    /// Puts `task` back in line: a re-executed map joins the recovery
+    /// queue under its map id, any other task the FIFO queue.
+    fn requeue(&mut self, task: usize, queued: SimTime) {
+        match (self.reexec_map_of(task), self.fetch.as_mut()) {
+            (Some(map), Some(f)) => f.queue.push_back(QueueEntry { task: map, queued }),
+            _ => self.queue.push_back(QueueEntry { task, queued }),
         }
     }
 
-    /// Drops `task` from the in-flight set if its attempt list emptied.
-    fn note_maybe_idle(&mut self, task: usize) {
-        if !self.running.get(task).is_some_and(|l| l.is_empty()) {
-            return;
+    /// `task`'s recovery counters. A real task without an entry has
+    /// launched once if it has left the fresh prefix of the queue.
+    fn task_state(&self, task: usize) -> TaskState {
+        if task >= self.queue.fresh && task < self.base_tasks {
+            return TaskState::after_launches(0);
         }
-        let Some(&pos) = self.running_pos.get(task) else {
-            return;
-        };
-        if pos == NOT_RUNNING {
-            return;
-        }
-        let Some(last) = self.running_tasks.pop() else {
-            return;
-        };
-        if last != task {
-            if let Some(slot) = self.running_tasks.get_mut(pos) {
-                *slot = last;
-            }
-            if let Some(p) = self.running_pos.get_mut(last) {
-                *p = pos;
-            }
-        }
-        if let Some(p) = self.running_pos.get_mut(task) {
-            *p = NOT_RUNNING;
-        }
+        let launched = TaskState::after_launches(1);
+        self.retries.get(&task).copied().unwrap_or(launched)
     }
 
-    /// Detaches the running attempt `(task, attempt)`, if still present.
-    fn take_running(&mut self, task: usize, attempt: u32) -> Option<RunningAttempt> {
-        let list = self.running.get_mut(task)?;
-        let idx = list.iter().position(|r| r.attempt == attempt)?;
-        let r = list.remove(idx);
-        self.note_maybe_idle(task);
-        Some(r)
+    /// `task`'s recovery counters, materialized for an update.
+    fn task_state_mut(&mut self, task: usize) -> &mut TaskState {
+        let ts = self.task_state(task);
+        self.retries.entry(task).or_insert(ts)
+    }
+
+    /// Counts the wait an attempt launched at `now` queued for.
+    fn note_wait(&mut self, queued: SimTime, now: SimTime) {
+        let wait = now.saturating_sub(queued);
+        if !wait.is_zero() {
+            self.stats.tasks_queued += 1;
+            self.stats.total_wait_s += wait.as_secs_f64();
+        }
     }
 
     /// Counts a failed attempt against `node`, blacklisting it — and,
@@ -1328,191 +1479,249 @@ impl FaultState {
         outcome: AttemptOutcome,
     ) {
         self.fstats.wasted_slot_s += now.saturating_sub(r.launched).as_secs_f64();
-        self.wasted.push(TaskSpan {
-            phase: String::new(),
-            task,
-            node: r.node,
-            slot: r.slot,
-            wave: r.wave,
-            queued_s: r.queued.as_secs_f64(),
-            launched_s: r.launched.as_secs_f64(),
-            finished_s: now.as_secs_f64(),
-            attempt: r.attempt,
-            outcome,
-            tier: r.tier,
-        });
+        self.wasted.push(r.span(task, now, outcome));
     }
 }
 
-/// Starts attempt `next_attempt[task]` of `task` on `node`, scheduling
-/// its failure or completion event per the fault plan.
+/// Starts the next attempt of engine task `task` on `node` at locality
+/// `tier`, scheduling its failure or completion event per the fault
+/// plan. A re-executed map runs at map speed and pays its
+/// surviving-replica tier's read cost; a speculative backup names its
+/// primary's key in `rival`.
 #[allow(clippy::too_many_arguments)]
 fn launch_attempt(
     sim: &mut Simulation,
-    state: &Rc<RefCell<FaultState>>,
+    state: &Rc<RefCell<PhaseState>>,
+    st: &mut PhaseState,
     load: &PhaseLoad,
     faults: &PhaseFaults,
     task: usize,
     node: usize,
+    tier: LocalityTier,
     queued: SimTime,
-    speculative: bool,
+    rival: Option<u32>,
 ) {
     let now = sim.now();
-    let mut st = state.borrow_mut();
-    let attempt = st.next_attempt[task];
-    st.next_attempt[task] += 1;
-    st.waiting[task] = false;
-    let (slot, wave) = st.claim_slot(node);
-    let wait = now.saturating_sub(queued);
-    if !wait.is_zero() {
-        st.stats.tasks_queued += 1;
-        st.stats.total_wait_s += wait.as_secs_f64();
+    let speculative = rival.is_some();
+    let TaskState {
+        next_attempt: attempt,
+        speculated,
+        ..
+    } = st.task_state(task);
+    if attempt > 1 || speculative {
+        let ts = st.task_state_mut(task);
+        ts.next_attempt += 1;
+        ts.speculated |= speculative;
     }
-    let tier = load.tier_for(task, node);
-    let t = &load.timing[node];
+    let (slot, key, wave) = st.claim_slot(node);
+    // Jitter is keyed by the task being priced: a re-execution draws
+    // from its map's sequence.
+    let (timing, extra, priced) = match (st.reexec_map_of(task), st.fetch.as_ref()) {
+        (Some(map), Some(f)) => {
+            let read_s = f.read_seconds.get(tier.idx()).copied().unwrap_or(0.0);
+            (f.map_timing.get(node), read_s, map)
+        }
+        _ => (load.timing.get(node), load.extra_for(task, tier), task),
+    };
+    let (task_s, over_s) = timing.map_or((0.0, 0.0), |t| (t.task_seconds, t.overhead_seconds));
     // A degraded rack uplink multiplies only the network-borne extras
     // (remote reads, shuffle fetch); ×1.0 on healthy links keeps the
-    // legacy duration bitwise identical.
-    let extra = load.extra_for(task, tier);
+    // duration bitwise identical.
     let link = faults.domains.link_factor_at(node, now.as_secs_f64());
     if link > 1.0 && extra > 0.0 {
         st.fstats.link_degraded_attempts += 1;
     }
-    let dur_s = t.task_seconds * attempt_jitter(task, attempt) * faults.slowdown[node]
-        + t.overhead_seconds
-        + extra * link;
+    let slow = faults.slowdown.get(node).copied().unwrap_or(1.0);
+    let dur_s = task_s * attempt_jitter(priced, attempt) * slow + over_s + extra * link;
     let dur = SimTime::from_secs_f64(dur_s);
-    let rate = 1.0 / dur_s.max(1e-12);
-    st.rate_sum += rate;
-    st.rate_count += 1;
+    st.note_wait(queued, now);
+    // Progress rates and due times only matter when LATE may speculate.
+    let mut rate = 0.0;
+    if st.policy.speculation {
+        rate = 1.0 / dur_s.max(1e-12);
+        st.rate_sum += rate;
+        st.rate_count += 1;
+        st.attempts.set_due(key, now + dur);
+    }
     if speculative {
-        st.speculated[task] = true;
         st.fstats.speculative_launched += 1;
     }
-    let event = match faults.plan.attempt_failure(task, attempt) {
-        Some(frac) => {
-            let st = state.clone();
-            sim.schedule_in(SimTime::from_secs_f64(dur_s * frac), move |sim| {
-                attempt_failed(sim, &st, task, attempt);
-            })
-        }
-        None => {
-            let st = state.clone();
-            sim.schedule_in(dur, move |sim| {
-                attempt_completed(sim, &st, task, attempt);
-            })
-        }
-    };
-    if let Some(list) = st.running.get_mut(task) {
-        list.push(RunningAttempt {
-            attempt,
+    // Write the span this attempt wins with, finish time included, now:
+    // spans fill in launch order, and a fault-free completion has
+    // nothing left to write.
+    if let Some(span) = st.spans.get_mut(task) {
+        *span = Some(TaskSpan {
+            phase: String::new(),
+            task,
             node,
             slot,
+            wave: widen(wave),
+            queued_s: queued.as_secs_f64(),
+            launched_s: now.as_secs_f64(),
+            finished_s: (now + dur).as_secs_f64(),
+            attempt,
+            outcome: AttemptOutcome::Success,
+            tier,
+        });
+    }
+    let stc = state.clone();
+    let held = (narrow(node), narrow(slot));
+    let event = match faults.plan.attempt_failure(task, attempt) {
+        Some(frac) => sim.schedule_in(SimTime::from_secs_f64(dur_s * frac), move |sim| {
+            attempt_failed(sim, &stc, key, attempt);
+        }),
+        None => sim.schedule_in(dur, move |sim| {
+            attempt_completed(sim, &stc, key, attempt, held);
+        }),
+    };
+    st.attempts.insert(
+        key,
+        RunningAttempt {
+            task,
+            attempt,
+            sibling: key,
+            node: held.0,
+            slot: held.1,
             wave,
             queued,
             launched: now,
-            duration: dur,
             rate,
             event,
             speculative,
             tier,
-        });
-    }
-    st.note_running(task);
+            owns_span: true,
+            backed_up: speculated || speculative,
+        },
+        rival,
+    );
 }
 
 /// Completion event: the first finisher wins its task; any rival attempt
-/// is cancelled (Hadoop kills the loser of a speculative race).
+/// is cancelled (Hadoop kills the loser of a speculative race). A
+/// re-executed map instead lands its output: see [`map_recovered`].
 fn attempt_completed(
     sim: &mut Simulation,
-    state: &Rc<RefCell<FaultState>>,
-    task: usize,
+    state: &Rc<RefCell<PhaseState>>,
+    key: u32,
     attempt: u32,
+    (node, slot): (u32, u32),
 ) {
     let mut st = state.borrow_mut();
     let now = sim.now();
-    let Some(r) = st.take_running(task, attempt) else {
-        return;
+    // An attempt never backed up is its task's only one and still owns
+    // the span it wrote at launch, so it completes from the event's own
+    // fields without reading its pool entry.
+    let r = if st.attempts.take_lone(key) {
+        None
+    } else {
+        let Some(r) = st.attempts.take(key, attempt) else {
+            return;
+        };
+        Some(r)
     };
-    st.release_slot(r.node, r.slot);
+    st.release_slot(widen(node), widen(slot));
     if st.error.is_some() {
         // Phase already failed; just drain the calendar.
         return;
     }
-    debug_assert!(!st.done[task], "two winners for task {task}");
-    st.done[task] = true;
+    if now > st.max_finish {
+        st.max_finish = now;
+    }
+    let Some(r) = r else {
+        st.pending -= 1;
+        return;
+    };
+    if let Some(map) = st.reexec_map_of(r.task) {
+        map_recovered(&mut st, map, &r, now);
+        return;
+    }
+    let task = r.task;
     st.pending -= 1;
     if r.speculative {
         st.fstats.speculative_wins += 1;
     }
-    st.spans[task] = Some(TaskSpan {
-        phase: String::new(),
-        task,
-        node: r.node,
-        slot: r.slot,
-        wave: r.wave,
-        queued_s: r.queued.as_secs_f64(),
-        launched_s: r.launched.as_secs_f64(),
-        finished_s: now.as_secs_f64(),
-        attempt: r.attempt,
-        outcome: AttemptOutcome::Success,
-        tier: r.tier,
-    });
-    if now > st.max_finish {
-        st.max_finish = now;
+    // A second winner for one task would underflow `pending`.
+    if !r.owns_span {
+        if let Some(span) = st.spans.get_mut(task) {
+            *span = Some(r.span(task, now, AttemptOutcome::Success));
+        }
     }
-    while let Some(rival) = st.running.get_mut(task).and_then(|l| l.pop()) {
+    let mut ring = (r.sibling != key).then_some(r.sibling);
+    while let Some((rival, rest)) = ring.and_then(|k| st.attempts.pop_newest(k)) {
         sim.cancel(rival.event);
-        st.release_slot(rival.node, rival.slot);
+        st.release_slot(rival.node(), rival.slot());
         st.record_wasted(task, &rival, now, AttemptOutcome::Cancelled);
         st.fstats.cancelled_attempts += 1;
+        ring = rest;
     }
-    st.note_maybe_idle(task);
+}
+
+/// A re-executed map landed: record its recovery span, move the output
+/// to the new holder, and — once no re-execution is outstanding —
+/// release the gated reduces back into the queue.
+fn map_recovered(st: &mut PhaseState, map: usize, r: &RunningAttempt, now: SimTime) {
+    st.recovered
+        .push(r.span(map, now, AttemptOutcome::Recovered));
+    st.fstats.reexecuted_maps += 1;
+    let Some(f) = st.fetch.as_mut() else {
+        return;
+    };
+    if let Some(h) = f.holders.get_mut(map) {
+        *h = r.node();
+    }
+    if let Some(rec) = f.recovering.get_mut(map) {
+        *rec = false;
+    }
+    f.outstanding = f.outstanding.saturating_sub(1);
+    if f.outstanding == 0 {
+        let released = std::mem::take(&mut f.gated);
+        for e in released {
+            st.queue.push_back(e);
+        }
+    }
 }
 
 /// Injected-failure event: count the failure, maybe blacklist the node,
 /// and re-queue the task after exponential backoff — or fail the phase
-/// once `max_attempts` is exhausted.
-fn attempt_failed(
-    sim: &mut Simulation,
-    state: &Rc<RefCell<FaultState>>,
-    task: usize,
-    attempt: u32,
-) {
+/// once `max_attempts` is exhausted. A re-executed map is accounted
+/// against its map task.
+fn attempt_failed(sim: &mut Simulation, state: &Rc<RefCell<PhaseState>>, key: u32, attempt: u32) {
     let mut st = state.borrow_mut();
     let now = sim.now();
-    let Some(r) = st.take_running(task, attempt) else {
+    let Some(r) = st.attempts.take(key, attempt) else {
         return;
     };
-    st.release_slot(r.node, r.slot);
+    st.release_slot(r.node(), r.slot());
     if st.error.is_some() {
         return;
     }
-    st.record_wasted(task, &r, now, AttemptOutcome::Failed);
+    let task = r.task;
+    let subject = st.reexec_map_of(task).unwrap_or(task);
+    st.record_wasted(subject, &r, now, AttemptOutcome::Failed);
     st.fstats.failed_attempts += 1;
-    st.failed[task] += 1;
+    let ts = st.task_state_mut(task);
+    ts.failed += 1;
+    let fails = ts.failed;
     // Hadoop never blacklists its way to an empty cluster (it caps the
     // blacklisted fraction); we keep the last usable node schedulable.
-    st.note_attempt_failure(r.node, now);
-    if st.failed[task] >= st.policy.max_attempts {
+    st.note_attempt_failure(r.node(), now);
+    if fails >= st.policy.max_attempts {
         st.error = Some(PhaseError::AttemptsExhausted {
-            task,
-            attempts: st.failed[task],
+            task: subject,
+            attempts: fails,
         });
         return;
     }
-    if !st.running.get(task).is_some_and(|l| l.is_empty()) {
+    if r.sibling != key {
         // A speculative rival is still in flight and may yet win.
         return;
     }
-    let delay = SimTime::from_secs_f64(st.policy.backoff_s(st.failed[task]));
-    st.waiting[task] = true;
+    let delay = SimTime::from_secs_f64(st.policy.backoff_s(fails));
     let stc = state.clone();
     sim.schedule_in(delay, move |sim| {
         let mut st = stc.borrow_mut();
         if st.error.is_none() {
-            let queued = sim.now();
-            st.queue.push_back(QueueEntry { task, queued });
+            st.requeue(task, sim.now());
         }
     });
 }
@@ -1521,7 +1730,7 @@ fn attempt_failed(
 /// and every in-flight attempt on it is killed. Killed attempts do not
 /// count against `max_attempts` (Hadoop's KILLED vs FAILED distinction)
 /// and re-queue immediately.
-fn crash_node(sim: &mut Simulation, state: &Rc<RefCell<FaultState>>, node: usize) {
+fn crash_node(sim: &mut Simulation, state: &Rc<RefCell<PhaseState>>, node: usize) {
     let mut st = state.borrow_mut();
     if st.error.is_some() || st.pending == 0 || !st.slots.alive(node) {
         // The phase is already over (the crash belongs to a later phase,
@@ -1531,66 +1740,26 @@ fn crash_node(sim: &mut Simulation, state: &Rc<RefCell<FaultState>>, node: usize
     let now = sim.now();
     st.slots.kill(node);
     st.fstats.node_crashes += 1;
-    // Only the in-flight set can have attempts on the dead node; sort it
-    // so victims are processed in ascending task order, exactly as the
-    // old full scan over every task did.
-    let mut victims: Vec<usize> = st
-        .running_tasks
-        .iter()
-        .copied()
-        .filter(|&task| {
-            st.running
-                .get(task)
-                .is_some_and(|l| l.iter().any(|r| r.node == node))
-        })
+    // Victims in ascending task order, each task's in launch order.
+    let mut victims: Vec<(usize, u32, u32)> = st
+        .attempts
+        .on_node(node)
+        .map(|(key, r)| (r.task, r.attempt, key))
         .collect();
     victims.sort_unstable();
-    for task in victims {
-        let mut i = 0;
-        while i < st.running.get(task).map_or(0, |l| l.len()) {
-            let hit = st
-                .running
-                .get(task)
-                .and_then(|l| l.get(i))
-                .is_some_and(|r| r.node == node);
-            if !hit {
-                i += 1;
-                continue;
-            }
-            let Some(r) = st.running.get_mut(task).map(|l| l.remove(i)) else {
-                break;
-            };
-            sim.cancel(r.event);
-            st.in_use -= 1;
-            st.slot_table.release(node, r.slot);
-            st.record_wasted(task, &r, now, AttemptOutcome::Killed);
-            st.fstats.killed_attempts += 1;
-            let idle = st.running.get(task).is_some_and(|l| l.is_empty());
-            let done = st.done.get(task).copied().unwrap_or(false);
-            let waiting = st.waiting.get(task).copied().unwrap_or(false);
-            if !done && idle && !waiting {
-                if let Some(w) = st.waiting.get_mut(task) {
-                    *w = true;
-                }
-                if let Some(off) = task.checked_sub(st.base_tasks) {
-                    // A killed map re-execution goes back to the
-                    // recovery queue, not the reduce queue.
-                    let map = st
-                        .fetch
-                        .as_ref()
-                        .and_then(|f| f.reexec_map.get(off).copied());
-                    if let (Some(map), Some(f)) = (map, st.fetch.as_mut()) {
-                        f.queue.push_back(QueueEntry {
-                            task: map,
-                            queued: now,
-                        });
-                    }
-                } else {
-                    st.queue.push_back(QueueEntry { task, queued: now });
-                }
-            }
+    for (task, attempt, key) in victims {
+        let Some(r) = st.attempts.take(key, attempt) else {
+            continue;
+        };
+        sim.cancel(r.event);
+        st.in_use -= 1;
+        st.slot_table.release(node, r.slot());
+        st.record_wasted(task, &r, now, AttemptOutcome::Killed);
+        st.fstats.killed_attempts += 1;
+        // Requeue unless a rival elsewhere keeps the task running.
+        if r.sibling == key {
+            st.requeue(task, now);
         }
-        st.note_maybe_idle(task);
     }
 }
 
@@ -1599,7 +1768,7 @@ fn crash_node(sim: &mut Simulation, state: &Rc<RefCell<FaultState>>, node: usize
 /// nodes' own crash events at the same instant, so "some node of the
 /// rack was still alive" distinguishes a real rack outage from racks
 /// that had already bled out node by node.
-fn rack_crashed(sim: &mut Simulation, state: &Rc<RefCell<FaultState>>, rack: usize, racks: usize) {
+fn rack_crashed(sim: &mut Simulation, state: &Rc<RefCell<PhaseState>>, rack: usize, racks: usize) {
     let mut st = state.borrow_mut();
     if st.error.is_some() || st.pending == 0 {
         return;
@@ -1623,7 +1792,7 @@ fn rack_crashed(sim: &mut Simulation, state: &Rc<RefCell<FaultState>>, rack: usi
 /// until the lost maps have been re-executed on surviving nodes. A map
 /// whose every input replica is also gone fails the phase with
 /// [`PhaseError::DataLost`].
-fn fetch_on_crash(sim: &mut Simulation, state: &Rc<RefCell<FaultState>>, node: usize) {
+fn fetch_on_crash(sim: &mut Simulation, state: &Rc<RefCell<PhaseState>>, node: usize) {
     let mut st = state.borrow_mut();
     if st.fetch.is_none() || st.error.is_some() || st.pending == 0 {
         return;
@@ -1657,21 +1826,22 @@ fn fetch_on_crash(sim: &mut Simulation, state: &Rc<RefCell<FaultState>>, node: u
             st.error = Some(PhaseError::DataLost { task: m });
             return;
         }
-        // First loss of this map: allocate its synthetic engine id and
-        // grow the per-task recovery vectors. Re-losses (the re-run's
-        // holder crashed too) reuse the id so attempt counters carry on.
+        // First loss of this map: allocate its synthetic engine id.
+        // Re-losses (the re-run's holder crashed too) reuse the id so
+        // attempt counters carry on.
         let needs_id =
             st.fetch.as_ref().and_then(|f| f.engine_of.get(m).copied()) == Some(usize::MAX);
         if needs_id {
-            let id = st.running.len();
-            st.running.push(Vec::new());
-            st.running_pos.push(NOT_RUNNING);
-            st.failed.push(0);
-            // Re-executions are attempt ≥ 2 of the original map task.
-            st.next_attempt.push(2);
-            st.done.push(false);
-            st.speculated.push(true);
-            st.waiting.push(true);
+            let id = st.base_tasks + st.fetch.as_ref().map_or(0, |f| f.reexec_map.len());
+            // Re-executions are attempt ≥ 2 of the original map task,
+            // and LATE never duplicates them.
+            st.retries.insert(
+                id,
+                TaskState {
+                    speculated: true,
+                    ..TaskState::after_launches(1)
+                },
+            );
             if let Some(f) = st.fetch.as_mut() {
                 if let Some(e) = f.engine_of.get_mut(m) {
                     *e = id;
@@ -1693,31 +1863,28 @@ fn fetch_on_crash(sim: &mut Simulation, state: &Rc<RefCell<FaultState>>, node: u
     // The shuffle is all-to-all: every in-flight reduce was fetching
     // from the lost outputs. Cancel their flows on the calendar and gate
     // them behind the re-executions. (Attempts on the dead node itself
-    // were already killed by `crash_node`.)
-    let mut victims: Vec<usize> = st
-        .running_tasks
-        .iter()
-        .copied()
-        .filter(|&t| t < st.base_tasks)
+    // were already killed by `crash_node`.) One ring key per in-flight
+    // reduce task, in ascending task order.
+    let base = st.base_tasks;
+    let mut victims: Vec<(usize, u32)> = st
+        .attempts
+        .iter(false)
+        .map(|(key, r)| (r.task, key))
+        .filter(|&(t, _)| t < base)
         .collect();
     victims.sort_unstable();
-    for task in victims {
-        while let Some(r) = st.running.get_mut(task).and_then(|l| l.pop()) {
+    victims.dedup_by_key(|v| v.0);
+    for (task, key) in victims {
+        let mut ring = Some(key);
+        while let Some((r, rest)) = ring.and_then(|k| st.attempts.pop_newest(k)) {
             sim.cancel(r.event);
-            st.release_slot(r.node, r.slot);
+            st.release_slot(r.node(), r.slot());
             st.record_wasted(task, &r, now, AttemptOutcome::FetchFailed);
             st.fstats.fetch_failures += 1;
+            ring = rest;
         }
-        st.note_maybe_idle(task);
-        let done = st.done.get(task).copied().unwrap_or(false);
-        let waiting = st.waiting.get(task).copied().unwrap_or(false);
-        if !done && !waiting {
-            if let Some(w) = st.waiting.get_mut(task) {
-                *w = true;
-            }
-            if let Some(f) = st.fetch.as_mut() {
-                f.gated.push(QueueEntry { task, queued: now });
-            }
+        if let Some(f) = st.fetch.as_mut() {
+            f.gated.push(QueueEntry { task, queued: now });
         }
     }
 }
@@ -1738,7 +1905,7 @@ enum ReexecChoice {
 /// locality tier wins (lowest node id breaks ties) — a surviving replica
 /// holder if possible, then a node in a surviving replica's rack, then
 /// anywhere (pricing the off-rack read).
-fn choose_reexec_node(st: &FaultState, map: usize) -> ReexecChoice {
+fn choose_reexec_node(st: &PhaseState, map: usize) -> ReexecChoice {
     let Some(f) = st.fetch.as_ref() else {
         return ReexecChoice::NoSlot;
     };
@@ -1773,260 +1940,54 @@ fn choose_reexec_node(st: &FaultState, map: usize) -> ReexecChoice {
     }
 }
 
-/// Launches one re-execution attempt of lost map `map` on `node`: map
-/// timing (not the surrounding reduce phase's), the surviving-replica
-/// tier's read cost, and the same injected-failure draws as any other
-/// attempt — re-executions can fail, be killed or be blacklisted too.
-fn launch_reexec(
-    sim: &mut Simulation,
-    state: &Rc<RefCell<FaultState>>,
-    faults: &PhaseFaults,
-    map: usize,
-    queued: SimTime,
-    node: usize,
-    tier: LocalityTier,
-) {
-    let now = sim.now();
-    let mut st = state.borrow_mut();
-    let Some(id) = st
-        .fetch
-        .as_ref()
-        .and_then(|f| f.engine_of.get(map).copied())
-        .filter(|&i| i != usize::MAX)
-    else {
-        return;
-    };
-    let attempt = st.next_attempt.get(id).copied().unwrap_or(2);
-    if let Some(a) = st.next_attempt.get_mut(id) {
-        *a += 1;
-    }
-    if let Some(w) = st.waiting.get_mut(id) {
-        *w = false;
-    }
-    let (slot, wave) = st.claim_slot(node);
-    let wait = now.saturating_sub(queued);
-    if !wait.is_zero() {
-        st.stats.tasks_queued += 1;
-        st.stats.total_wait_s += wait.as_secs_f64();
-    }
-    let (task_s, over_s) = st
-        .fetch
-        .as_ref()
-        .and_then(|f| f.map_timing.get(node))
-        .map(|t| (t.task_seconds, t.overhead_seconds))
-        .unwrap_or((0.0, 0.0));
-    let read_s = st
-        .fetch
-        .as_ref()
-        .and_then(|f| f.read_seconds.get(tier.idx()).copied())
-        .unwrap_or(0.0);
-    let slow = faults.slowdown.get(node).copied().unwrap_or(1.0);
-    let link = faults.domains.link_factor_at(node, now.as_secs_f64());
-    if link > 1.0 && read_s > 0.0 {
-        st.fstats.link_degraded_attempts += 1;
-    }
-    let dur_s = task_s * attempt_jitter(map, attempt) * slow + over_s + read_s * link;
-    let dur = SimTime::from_secs_f64(dur_s);
-    let rate = 1.0 / dur_s.max(1e-12);
-    st.rate_sum += rate;
-    st.rate_count += 1;
-    let event = match faults.plan.attempt_failure(id, attempt) {
-        Some(frac) => {
-            let stc = state.clone();
-            sim.schedule_in(SimTime::from_secs_f64(dur_s * frac), move |sim| {
-                reexec_failed(sim, &stc, id, attempt);
-            })
-        }
-        None => {
-            let stc = state.clone();
-            sim.schedule_in(dur, move |sim| {
-                reexec_completed(sim, &stc, id, attempt);
-            })
-        }
-    };
-    if let Some(list) = st.running.get_mut(id) {
-        list.push(RunningAttempt {
-            attempt,
-            node,
-            slot,
-            wave,
-            queued,
-            launched: now,
-            duration: dur,
-            rate,
-            event,
-            speculative: false,
-            tier,
-        });
-    }
-    st.note_running(id);
-}
-
-/// A re-executed map landed: record its recovery span, move the output
-/// to the new holder, and — once no re-execution is outstanding —
-/// release the gated reduces back into the queue.
-fn reexec_completed(
-    sim: &mut Simulation,
-    state: &Rc<RefCell<FaultState>>,
-    id: usize,
-    attempt: u32,
-) {
-    let mut st = state.borrow_mut();
-    let now = sim.now();
-    let Some(r) = st.take_running(id, attempt) else {
-        return;
-    };
-    st.release_slot(r.node, r.slot);
-    if st.error.is_some() {
-        return;
-    }
-    let Some(map) = id.checked_sub(st.base_tasks).and_then(|off| {
-        st.fetch
-            .as_ref()
-            .and_then(|f| f.reexec_map.get(off).copied())
-    }) else {
-        return;
-    };
-    st.recovered.push(TaskSpan {
-        phase: String::new(),
-        task: map,
-        node: r.node,
-        slot: r.slot,
-        wave: r.wave,
-        queued_s: r.queued.as_secs_f64(),
-        launched_s: r.launched.as_secs_f64(),
-        finished_s: now.as_secs_f64(),
-        attempt: r.attempt,
-        outcome: AttemptOutcome::Recovered,
-        tier: r.tier,
-    });
-    st.fstats.reexecuted_maps += 1;
-    if now > st.max_finish {
-        st.max_finish = now;
-    }
-    let released = match st.fetch.as_mut() {
-        Some(f) => {
-            if let Some(h) = f.holders.get_mut(map) {
-                *h = r.node;
-            }
-            if let Some(rec) = f.recovering.get_mut(map) {
-                *rec = false;
-            }
-            f.outstanding = f.outstanding.saturating_sub(1);
-            if f.outstanding == 0 {
-                std::mem::take(&mut f.gated)
-            } else {
-                Vec::new()
-            }
-        }
-        None => Vec::new(),
-    };
-    for e in released {
-        st.queue.push_back(e);
-    }
-}
-
-/// A re-execution attempt hit an injected failure: same accounting as
-/// [`attempt_failed`] (wasted span, node failure, blacklisting, backoff
-/// re-queue, attempt exhaustion) against the *map* task.
-fn reexec_failed(sim: &mut Simulation, state: &Rc<RefCell<FaultState>>, id: usize, attempt: u32) {
-    let mut st = state.borrow_mut();
-    let now = sim.now();
-    let Some(r) = st.take_running(id, attempt) else {
-        return;
-    };
-    st.release_slot(r.node, r.slot);
-    if st.error.is_some() {
-        return;
-    }
-    let Some(map) = id.checked_sub(st.base_tasks).and_then(|off| {
-        st.fetch
-            .as_ref()
-            .and_then(|f| f.reexec_map.get(off).copied())
-    }) else {
-        return;
-    };
-    st.record_wasted(map, &r, now, AttemptOutcome::Failed);
-    st.fstats.failed_attempts += 1;
-    if let Some(fl) = st.failed.get_mut(id) {
-        *fl += 1;
-    }
-    st.note_attempt_failure(r.node, now);
-    let fails = st.failed.get(id).copied().unwrap_or(0);
-    if fails >= st.policy.max_attempts {
-        st.error = Some(PhaseError::AttemptsExhausted {
-            task: map,
-            attempts: fails,
-        });
-        return;
-    }
-    let delay = SimTime::from_secs_f64(st.policy.backoff_s(fails));
-    if let Some(w) = st.waiting.get_mut(id) {
-        *w = true;
-    }
-    let stc = state.clone();
-    sim.schedule_in(delay, move |sim| {
-        let mut st = stc.borrow_mut();
-        if st.error.is_none() {
-            let queued = sim.now();
-            if let Some(f) = st.fetch.as_mut() {
-                f.queue.push_back(QueueEntry { task: map, queued });
-            }
-        }
-    });
-}
-
 /// LATE speculation: among tasks with a single running attempt that has
 /// run at least `spec_min_runtime_s` and progresses below
 /// `spec_rate_threshold` × the mean rate of all launched attempts, pick
 /// the slowest and duplicate it on the fastest usable node that is not
 /// the primary's — but only if the backup is expected to finish first.
+/// Returns the task, the backup's node and the primary's pool key.
 fn choose_speculation(
-    st: &FaultState,
+    st: &PhaseState,
     load: &PhaseLoad,
     faults: &PhaseFaults,
     now: SimTime,
-) -> Option<(usize, usize)> {
+) -> Option<(usize, usize, u32)> {
     if st.rate_count == 0 {
         return None;
     }
     let mean = st.rate_sum / st.rate_count as f64;
-    // Only in-flight tasks can be candidates; the set is unordered, so
-    // pick the lexicographic minimum of (rate, task) — identical to the
-    // old ascending full-task scan with a strict `<` on rate.
-    let mut cand: Option<(f64, usize)> = None;
-    for &task in &st.running_tasks {
-        if task >= st.base_tasks {
+    // The pool is unordered, so pick the lexicographic minimum of
+    // (rate, task): the slowest candidate, lowest task id on ties.
+    let mut cand: Option<(f64, u32, &RunningAttempt)> = None;
+    for (key, r) in st.attempts.iter(true) {
+        if r.task >= st.base_tasks {
             // Map re-executions recover lost data; LATE never
             // duplicates them.
             continue;
         }
-        let done = st.done.get(task).copied().unwrap_or(true);
-        let speculated = st.speculated.get(task).copied().unwrap_or(true);
-        if done || speculated {
+        // Only a task's sole running attempt can be duplicated, once.
+        if r.backed_up || r.sibling != key {
             continue;
         }
-        let Some([r]) = st.running.get(task).map(|l| l.as_slice()) else {
-            continue;
-        };
         if now.saturating_sub(r.launched).as_secs_f64() < st.policy.spec_min_runtime_s {
             continue;
         }
-        if r.rate >= st.policy.spec_rate_threshold * mean {
+        let rate = r.rate;
+        if rate >= st.policy.spec_rate_threshold * mean {
             continue;
         }
-        if cand.map_or(true, |(best, bt)| {
-            r.rate < best || (r.rate == best && task < bt)
+        if cand.map_or(true, |(best, _, c)| {
+            rate < best || (rate == best && r.task < c.task)
         }) {
-            cand = Some((r.rate, task));
+            cand = Some((rate, key, r));
         }
     }
-    let (_, task) = cand?;
-    let primary = *st.running.get(task)?.first()?;
-    let aj = attempt_jitter(task, st.next_attempt.get(task).copied()?);
+    let (_, key, primary) = cand?;
+    let task = primary.task;
+    let aj = attempt_jitter(task, st.task_state(task).next_attempt);
     let mut best: Option<(f64, usize)> = None;
     for node in st.slots.free_nodes() {
-        if node == primary.node {
+        if node == primary.node() {
             continue;
         }
         let t = load.timing.get(node)?;
@@ -2036,59 +1997,72 @@ fn choose_speculation(
         }
     }
     let (backup_s, node) = best?;
-    if now + SimTime::from_secs_f64(backup_s) >= primary.launched + primary.duration {
+    if now + SimTime::from_secs_f64(backup_s) >= st.attempts.due(key)? {
         return None;
     }
-    Some((task, node))
+    Some((task, node, key))
 }
 
-/// [`run_phase`] with optional fault injection: `None` (or an inert
-/// [`PhaseFaults`]) reproduces the fault-free engine exactly; with
-/// faults, tasks are re-executed per the plan's failures, node crashes
-/// and the policy's speculation/blacklisting, and the run either
-/// completes with attempt-level spans (wasted work included) or errors
-/// cleanly.
+/// Drains `load` over `cluster` under `placement`, recording one winning
+/// span per task. All tasks are queued at phase start (time zero) in
+/// task order; a freed slot always goes to the head of the queue (FIFO
+/// admission — placement only chooses *which* free slot), so grant order
+/// at identical virtual times is exactly the flat slot-pool model's.
 ///
-/// # Panics
+/// `faults = None` is a fault-free phase: no failed attempts, no
+/// crashes and no speculation. With faults, tasks are re-executed per
+/// the plan's failures, node crashes and the policy's
+/// speculation/blacklisting, and wasted attempts land in
+/// [`PhaseRun::wasted`]; an inert [`PhaseFaults`] with speculation off
+/// is bitwise the same run as `None`.
 ///
-/// Panics if the cluster has no slots, or `load.timing`/the fault
-/// vectors do not match the cluster's node count.
-pub fn run_phase_faulty(
-    cluster: &Cluster,
-    load: &PhaseLoad,
-    placement: &mut dyn Placement,
-    faults: Option<&PhaseFaults>,
-) -> Result<PhaseRun, PhaseError> {
-    run_phase_faulty_fetch(cluster, load, placement, faults, None)
-}
-
-/// [`run_phase_faulty`] with Hadoop fetch-failure semantics for a reduce
-/// phase: `fetch` says which node holds each completed map's output and
-/// where the map input replicas live. When a holder dies mid-phase (or
-/// died between the phases), its outputs are lost — in-flight reduce
-/// attempts' shuffle flows are cancelled on the calendar as fetch
-/// failures, reduces stall on the shuffle barrier, and the lost maps are
+/// `fetch` adds Hadoop fetch-failure semantics for a reduce phase: it
+/// says which node holds each completed map's output and where the map
+/// input replicas live. When a holder dies mid-phase (or died between
+/// the phases), its outputs are lost — in-flight reduce attempts'
+/// shuffle flows are cancelled on the calendar as fetch failures,
+/// reduces stall on the shuffle barrier, and the lost maps are
 /// re-executed on surviving nodes at the surviving-replica locality tier
-/// before the reduces resume. A map whose every input replica is gone
-/// fails cleanly with [`PhaseError::DataLost`]. `fetch = None` is
-/// exactly [`run_phase_faulty`].
+/// before the reduces resume. Without crashes a plan is invisible.
+///
+/// # Errors
+///
+/// With faults, the phase fails when a task exhausts `max_attempts`
+/// ([`PhaseError::AttemptsExhausted`]), when crashes leave tasks no
+/// usable slot ([`PhaseError::NoUsableSlots`]), or when a lost map has
+/// no surviving input replica ([`PhaseError::DataLost`]). A fault-free
+/// phase never fails.
 ///
 /// # Panics
 ///
-/// Same contract as [`run_phase_faulty`].
-pub fn run_phase_faulty_fetch(
+/// Panics if the cluster has no slots (or `u32::MAX` or more), or if
+/// `load.timing` or the fault vectors do not match the cluster's node
+/// count.
+pub fn run_phase(
     cluster: &Cluster,
     load: &PhaseLoad,
     placement: &mut dyn Placement,
     faults: Option<&PhaseFaults>,
     fetch: Option<&FetchPlan>,
 ) -> Result<PhaseRun, PhaseError> {
-    let Some(faults) = faults else {
-        return Ok(run_phase(cluster, load, placement));
-    };
     let nodes = cluster.nodes.len();
     let capacity = cluster.total_slots();
     assert!(capacity > 0, "need at least one slot");
+    assert!(capacity < widen(NO_ATTEMPT), "too many slots");
+    let clean;
+    let faults = match faults {
+        Some(f) => f,
+        None => {
+            clean = PhaseFaults {
+                policy: RecoveryPolicy {
+                    speculation: false,
+                    ..RecoveryPolicy::hadoop()
+                },
+                ..PhaseFaults::inert(nodes)
+            };
+            &clean
+        }
+    };
     assert_eq!(load.timing.len(), nodes, "one timing entry per node");
     assert_eq!(faults.slowdown.len(), nodes, "one slowdown entry per node");
     assert_eq!(faults.crash_at_s.len(), nodes, "one crash entry per node");
@@ -2114,28 +2088,16 @@ pub fn run_phase_faulty_fetch(
     }
 
     let mut sim = Simulation::new();
-    let state = Rc::new(RefCell::new(FaultState {
-        slots: FreeSlots::with_dead(cluster, Some(&faults.dead_at_start)),
+    let state = Rc::new(RefCell::new(PhaseState {
+        slots: FreeSlots::new(cluster, &faults.dead_at_start),
         slot_table: SlotTable::new(cluster),
-        slot_waves: cluster.nodes.iter().map(|n| vec![0; n.slots]).collect(),
-        queue: (0..load.tasks)
-            .map(|task| QueueEntry {
-                task,
-                queued: SimTime::ZERO,
-            })
-            .collect(),
+        queue: TaskQueue::new(load.tasks),
         in_use: 0,
         max_finish: SimTime::ZERO,
         stats,
         node_failures: vec![0; nodes],
-        running: vec![Vec::new(); load.tasks],
-        running_tasks: Vec::new(),
-        running_pos: vec![NOT_RUNNING; load.tasks],
-        failed: vec![0; load.tasks],
-        next_attempt: vec![1; load.tasks],
-        done: vec![false; load.tasks],
-        speculated: vec![false; load.tasks],
-        waiting: vec![true; load.tasks],
+        attempts: AttemptPool::new(cluster),
+        retries: BTreeMap::new(),
         pending: load.tasks,
         rate_sum: 0.0,
         rate_count: 0,
@@ -2200,34 +2162,32 @@ pub fn run_phase_faulty_fetch(
         }
     }
 
-    // Same grant discipline as the fault-free engine — FIFO queue,
-    // placement picks the node — plus a speculation pass once the queue
-    // is empty.
+    // Launches work while slots are free: lost-map re-executions first,
+    // then the FIFO queue (placement picks the node), then — once the
+    // queue is empty — LATE speculative backups. Runs at phase start and
+    // after every calendar event.
     let dispatch = |sim: &mut Simulation, placement: &mut dyn Placement| {
+        let mut st = state.borrow_mut();
         loop {
-            {
-                let st = state.borrow();
-                if st.error.is_some() || st.slots.total_free() == 0 {
-                    break;
-                }
+            if st.error.is_some() || st.slots.total_free() == 0 {
+                break;
             }
-            // Fetch-failure recovery runs ahead of everything else.
-            let reexec = {
-                let st = state.borrow();
-                st.fetch.as_ref().and_then(|f| f.queue.front().copied())
-            };
-            if let Some(entry) = reexec {
-                let choice = choose_reexec_node(&state.borrow(), entry.task);
-                match choice {
+            if let Some(entry) = st.fetch.as_ref().and_then(|f| f.queue.front().copied()) {
+                match choose_reexec_node(&st, entry.task) {
                     ReexecChoice::Run(node, tier) => {
-                        if let Some(f) = state.borrow_mut().fetch.as_mut() {
-                            f.queue.pop_front();
+                        let Some(f) = st.fetch.as_mut() else { break };
+                        f.queue.pop_front();
+                        let id = f.engine_of.get(entry.task).copied();
+                        if let Some(id) = id.filter(|&i| i != usize::MAX) {
+                            let queued = entry.queued;
+                            launch_attempt(
+                                sim, &state, &mut st, load, faults, id, node, tier, queued, None,
+                            );
                         }
-                        launch_reexec(sim, &state, faults, entry.task, entry.queued, node, tier);
                         continue;
                     }
                     ReexecChoice::DataLost => {
-                        state.borrow_mut().error = Some(PhaseError::DataLost { task: entry.task });
+                        st.error = Some(PhaseError::DataLost { task: entry.task });
                         break;
                     }
                     ReexecChoice::NoSlot => break,
@@ -2235,62 +2195,45 @@ pub fn run_phase_faulty_fetch(
             }
             // Reduces stall on the shuffle barrier while lost map
             // outputs are being re-executed.
-            if state
-                .borrow()
-                .fetch
-                .as_ref()
-                .is_some_and(|f| f.outstanding > 0)
-            {
+            if st.fetch.as_ref().is_some_and(|f| f.outstanding > 0) {
                 break;
             }
-            let front = state.borrow().queue.front().copied();
-            if let Some(entry) = front {
-                let node = {
-                    let st = state.borrow();
-                    let (node, _tier) = placement.place_local(
-                        entry.task,
-                        cluster,
-                        &st.slots,
-                        load.locality.as_ref(),
-                    );
-                    assert!(
-                        st.slots.free(node) > 0 && st.slots.usable(node),
-                        "placement chose an unusable node"
-                    );
-                    node
-                };
-                state.borrow_mut().queue.pop_front();
-                launch_attempt(
-                    sim,
-                    &state,
-                    load,
-                    faults,
-                    entry.task,
-                    node,
-                    entry.queued,
-                    false,
+            if let Some(entry) = st.queue.front() {
+                let (node, tier) =
+                    placement.place_local(entry.task, cluster, &st.slots, load.locality.as_ref());
+                assert!(
+                    st.slots.free(node) > 0 && st.slots.usable(node),
+                    "placement chose an unusable node"
                 );
+                let (task, queued) = (entry.task, entry.queued);
+                launch_attempt(
+                    sim, &state, &mut st, load, faults, task, node, tier, queued, None,
+                );
+                // Popped after the launch: the attempt number reads the
+                // task's place in the fresh prefix.
+                st.queue.pop_front();
                 continue;
             }
             if !faults.policy.speculation {
                 break;
             }
-            let pick = {
-                let st = state.borrow();
-                choose_speculation(&st, load, faults, sim.now())
-            };
-            let Some((task, node)) = pick else {
+            let Some((task, node, primary)) = choose_speculation(&st, load, faults, sim.now())
+            else {
                 break;
             };
-            let now = sim.now();
-            launch_attempt(sim, &state, load, faults, task, node, now, true);
+            let (tier, now, rival) = (load.tier_for(task, node), sim.now(), Some(primary));
+            launch_attempt(
+                sim, &state, &mut st, load, faults, task, node, tier, now, rival,
+            );
         }
-        let mut st = state.borrow_mut();
         let backlog = st.queue.len();
         st.stats.max_queue_len = st.stats.max_queue_len.max(backlog);
     };
 
     dispatch(&mut sim, placement);
+    // Drive the calendar one event at a time so the placement policy
+    // (a &mut borrow that cannot move into event closures) runs between
+    // events.
     while sim.step() {
         dispatch(&mut sim, placement);
     }
@@ -2306,7 +2249,8 @@ pub fn run_phase_faulty_fetch(
             pending: st.pending,
         });
     }
-    let spans: Vec<TaskSpan> = st.spans.into_iter().flatten().collect();
+    // Every task has its winner now; `map_while` collects in place.
+    let spans: Vec<TaskSpan> = st.spans.into_iter().map_while(|span| span).collect();
     debug_assert_eq!(spans.len(), load.tasks, "one winning span per task");
     Ok(PhaseRun {
         makespan_s: st.max_finish.as_secs_f64(),
@@ -2368,6 +2312,12 @@ pub struct ClusterTimeline {
     ann_time_s: Vec<f64>,
     #[serde(default)]
     ann_label: Vec<String>,
+}
+
+/// Widens a `u32` column or pool key back to an index (lossless on
+/// every target with at least 32-bit pointers).
+fn widen(v: u32) -> usize {
+    usize::try_from(v).unwrap_or(usize::MAX)
 }
 
 /// Narrows an engine-side index (task/node/slot/wave) to its column type.
@@ -2880,7 +2830,8 @@ mod tests {
     #[test]
     fn duration_follows_the_landing_node() {
         let c = mixed_cluster();
-        let run = run_phase(&c, &hetero_load(4, &c), &mut FifoAnySlot);
+        let run = run_phase(&c, &hetero_load(4, &c), &mut FifoAnySlot, None, None)
+            .expect("fault-free phase drains");
         for s in &run.spans {
             let d = s.finished_s - s.launched_s;
             match c.nodes[s.node].kind {
@@ -2897,7 +2848,8 @@ mod tests {
             preferred: CoreKind::Little,
         };
         // 4 little slots... only 2 — cluster is 1 big x2 + 2 little x2.
-        let run = run_phase(&c, &hetero_load(4, &c), &mut p);
+        let run = run_phase(&c, &hetero_load(4, &c), &mut p, None, None)
+            .expect("fault-free phase drains");
         let on_little = run
             .spans
             .iter()
@@ -2912,7 +2864,8 @@ mod tests {
         let mut p = KindPreferring {
             preferred: CoreKind::Little,
         };
-        let run = run_phase(&c, &hetero_load(6, &c), &mut p);
+        let run = run_phase(&c, &hetero_load(6, &c), &mut p, None, None)
+            .expect("fault-free phase drains");
         let on_big = run
             .spans
             .iter()
@@ -2938,7 +2891,14 @@ mod tests {
     fn spans_are_complete_and_ordered() {
         let c = Cluster::homogeneous(CoreKind::Big, 2, 2);
         let s = set(9, 3.0);
-        let run = run_phase(&c, &PhaseLoad::uniform(&s, &c), &mut FifoAnySlot);
+        let run = run_phase(
+            &c,
+            &PhaseLoad::uniform(&s, &c),
+            &mut FifoAnySlot,
+            None,
+            None,
+        )
+        .expect("fault-free phase drains");
         assert_eq!(run.spans.len(), 9);
         for (i, sp) in run.spans.iter().enumerate() {
             assert_eq!(sp.task, i);
@@ -2955,7 +2915,14 @@ mod tests {
     fn slot_stats_count_queueing() {
         let c = Cluster::homogeneous(CoreKind::Big, 1, 2);
         let s = set(5, 2.0);
-        let run = run_phase(&c, &PhaseLoad::uniform(&s, &c), &mut FifoAnySlot);
+        let run = run_phase(
+            &c,
+            &PhaseLoad::uniform(&s, &c),
+            &mut FifoAnySlot,
+            None,
+            None,
+        )
+        .expect("fault-free phase drains");
         assert_eq!(run.slots.capacity, 2);
         assert_eq!(run.slots.peak_in_use, 2);
         assert_eq!(run.slots.tasks_queued, 3, "tasks beyond the first wave");
@@ -2988,34 +2955,84 @@ mod tests {
         assert!((0.92..=1.08).contains(&j));
     }
 
+    /// Xeon tasks of 4 s next to Atom tasks of 20 s: once the queue
+    /// drains, the Atom attempts progress far below LATE's rate
+    /// threshold, have run past `spec_min_runtime_s`, and a Xeon backup
+    /// would finish first — so `RecoveryPolicy::hadoop()` speculates.
+    fn straggling_atoms(tasks: usize, cluster: &Cluster) -> PhaseLoad {
+        PhaseLoad::by_kind(
+            tasks,
+            NodeTiming {
+                task_seconds: 4.0,
+                overhead_seconds: 0.0,
+            },
+            NodeTiming {
+                task_seconds: 20.0,
+                overhead_seconds: 0.0,
+            },
+            cluster,
+        )
+    }
+
+    /// An inert fault layer with speculation off.
+    fn inert_without_speculation(nodes: usize) -> PhaseFaults {
+        PhaseFaults {
+            policy: RecoveryPolicy {
+                speculation: false,
+                ..RecoveryPolicy::hadoop()
+            },
+            ..PhaseFaults::inert(nodes)
+        }
+    }
+
+    fn placements() -> [Box<dyn Placement>; 3] {
+        [
+            Box::new(FifoAnySlot),
+            Box::new(KindPreferring {
+                preferred: CoreKind::Big,
+            }),
+            Box::new(KindPreferring {
+                preferred: CoreKind::Little,
+            }),
+        ]
+    }
+
     #[test]
     fn inert_faults_match_fault_free_engine_exactly() {
         let c = mixed_cluster();
-        let load = hetero_load(9, &c);
-        let plain = run_phase(&c, &load, &mut FifoAnySlot);
-        let inert = run_phase_faulty(
+        let inert = inert_without_speculation(c.nodes.len());
+        for load in [hetero_load(9, &c), straggling_atoms(9, &c)] {
+            for (mut a, mut b) in placements().into_iter().zip(placements()) {
+                let none =
+                    run_phase(&c, &load, a.as_mut(), None, None).expect("fault-free phase drains");
+                let with = run_phase(&c, &load, b.as_mut(), Some(&inert), None)
+                    .expect("inert faults cannot fail the phase");
+                assert_eq!(none, with, "inert fault layer must be a perfect no-op");
+            }
+        }
+    }
+
+    #[test]
+    fn fault_free_phase_never_speculates() {
+        let c = mixed_cluster();
+        let load = straggling_atoms(9, &c);
+        let hadoop = run_phase(
             &c,
             &load,
             &mut FifoAnySlot,
             Some(&PhaseFaults::inert(c.nodes.len())),
+            None,
         )
         .expect("inert faults cannot fail the phase");
-        assert_eq!(plain, inert, "inert fault layer must be a perfect no-op");
-
-        let mut p = KindPreferring {
-            preferred: CoreKind::Little,
-        };
-        let plain = run_phase(&c, &load, &mut p);
-        let mut p = KindPreferring {
-            preferred: CoreKind::Little,
-        };
-        let inert = run_phase_faulty(&c, &load, &mut p, Some(&PhaseFaults::inert(c.nodes.len())))
-            .expect("inert faults cannot fail the phase");
-        assert_eq!(plain, inert);
-
-        let none = run_phase_faulty(&c, &load, &mut FifoAnySlot, None)
-            .expect("no faults cannot fail the phase");
-        assert_eq!(none, run_phase(&c, &load, &mut FifoAnySlot));
+        assert!(
+            hadoop.faults.speculative_launched > 0,
+            "hadoop() speculation must fire on this load"
+        );
+        let clean =
+            run_phase(&c, &load, &mut FifoAnySlot, None, None).expect("fault-free phase drains");
+        assert_eq!(clean.faults, FaultStats::default(), "no backup launched");
+        assert!(clean.wasted.is_empty());
+        assert!(clean.spans.iter().all(|s| s.attempt == 1));
     }
 
     #[test]
@@ -3023,8 +3040,9 @@ mod tests {
         let c = Cluster::homogeneous(CoreKind::Big, 1, 2);
         let load = PhaseLoad::uniform(&set(16, 10.0), &c);
         let faults = failure_faults(1, 0.4, 7);
-        let baseline = run_phase(&c, &load, &mut FifoAnySlot);
-        let run = run_phase_faulty(&c, &load, &mut FifoAnySlot, Some(&faults))
+        let baseline =
+            run_phase(&c, &load, &mut FifoAnySlot, None, None).expect("fault-free phase drains");
+        let run = run_phase(&c, &load, &mut FifoAnySlot, Some(&faults), None)
             .expect("recovery must absorb sub-certain failure rates");
         assert!(
             run.faults.failed_attempts > 0,
@@ -3054,7 +3072,7 @@ mod tests {
         let c = Cluster::homogeneous(CoreKind::Big, 1, 2);
         let load = PhaseLoad::uniform(&set(4, 5.0), &c);
         let faults = failure_faults(1, 1.0, 0);
-        let err = run_phase_faulty(&c, &load, &mut FifoAnySlot, Some(&faults))
+        let err = run_phase(&c, &load, &mut FifoAnySlot, Some(&faults), None)
             .expect_err("rate 1.0 can never complete");
         match err {
             PhaseError::AttemptsExhausted { attempts, .. } => {
@@ -3070,7 +3088,7 @@ mod tests {
         let load = PhaseLoad::uniform(&set(8, 10.0), &c);
         let mut faults = PhaseFaults::inert(2);
         faults.crash_at_s[0] = Some(5.0);
-        let run = run_phase_faulty(&c, &load, &mut FifoAnySlot, Some(&faults))
+        let run = run_phase(&c, &load, &mut FifoAnySlot, Some(&faults), None)
             .expect("the surviving node finishes the phase");
         assert_eq!(run.faults.node_crashes, 1);
         assert!(run.faults.killed_attempts >= 1, "node0 had tasks in flight");
@@ -3094,7 +3112,7 @@ mod tests {
         let load = PhaseLoad::uniform(&set(6, 10.0), &c);
         let mut faults = PhaseFaults::inert(1);
         faults.crash_at_s[0] = Some(5.0);
-        let err = run_phase_faulty(&c, &load, &mut FifoAnySlot, Some(&faults))
+        let err = run_phase(&c, &load, &mut FifoAnySlot, Some(&faults), None)
             .expect_err("zero live slots cannot finish the phase");
         match err {
             PhaseError::NoUsableSlots { pending } => assert_eq!(pending, 6),
@@ -3108,7 +3126,7 @@ mod tests {
         let load = PhaseLoad::uniform(&set(3, 1.0), &c);
         let mut faults = PhaseFaults::inert(2);
         faults.dead_at_start = vec![true, true];
-        let err = run_phase_faulty(&c, &load, &mut FifoAnySlot, Some(&faults))
+        let err = run_phase(&c, &load, &mut FifoAnySlot, Some(&faults), None)
             .expect_err("no live nodes at phase start");
         assert_eq!(err, PhaseError::NoUsableSlots { pending: 3 });
     }
@@ -3120,7 +3138,7 @@ mod tests {
         let mut faults = PhaseFaults::inert(2);
         faults.slowdown[1] = 4.0;
         faults.policy.speculation = speculation;
-        run_phase_faulty(&c, &load, &mut FifoAnySlot, Some(&faults))
+        run_phase(&c, &load, &mut FifoAnySlot, Some(&faults), None)
     }
 
     #[test]
@@ -3182,7 +3200,7 @@ mod tests {
         let mut faults = failure_faults(2, 0.3, 11);
         faults.slowdown[1] = 2.5;
         faults.crash_at_s[1] = Some(30.0);
-        let run = run_phase_faulty(&c, &load, &mut FifoAnySlot, Some(&faults))
+        let run = run_phase(&c, &load, &mut FifoAnySlot, Some(&faults), None)
             .expect("node0 survives to finish the phase");
         for w in &run.wasted {
             assert!(
@@ -3203,9 +3221,9 @@ mod tests {
         let load = PhaseLoad::uniform(&set(12, 8.0), &c);
         let mut faults = failure_faults(2, 0.3, 11);
         faults.slowdown[1] = 2.5;
-        let a = run_phase_faulty(&c, &load, &mut FifoAnySlot, Some(&faults))
+        let a = run_phase(&c, &load, &mut FifoAnySlot, Some(&faults), None)
             .expect("recovery completes");
-        let b = run_phase_faulty(&c, &load, &mut FifoAnySlot, Some(&faults))
+        let b = run_phase(&c, &load, &mut FifoAnySlot, Some(&faults), None)
             .expect("recovery completes");
         assert_eq!(a, b, "same plan, same run, bit for bit");
     }
@@ -3217,7 +3235,7 @@ mod tests {
         let mut faults = failure_faults(2, 0.4, 7);
         faults.crash_at_s[1] = Some(12.0);
         let run =
-            run_phase_faulty(&c, &load, &mut FifoAnySlot, Some(&faults)).expect("node0 survives");
+            run_phase(&c, &load, &mut FifoAnySlot, Some(&faults), None).expect("node0 survives");
         let mut tl = ClusterTimeline::new(&c);
         tl.extend("map", 0.0, &run);
         let json = tl.to_chrome_trace_json();
@@ -3230,7 +3248,8 @@ mod tests {
             "re-executions carry their attempt number"
         );
         // Fault-free spans keep the legacy arg set.
-        let clean = run_phase(&c, &load, &mut FifoAnySlot);
+        let clean =
+            run_phase(&c, &load, &mut FifoAnySlot, None, None).expect("fault-free phase drains");
         let mut tl = ClusterTimeline::new(&c);
         tl.extend("map", 0.0, &clean);
         let json = tl.to_chrome_trace_json();
@@ -3249,7 +3268,7 @@ mod tests {
         let load = PhaseLoad::uniform(&set(10, 5.0), &c);
         let mut faults = failure_faults(2, 0.35, 3);
         faults.policy.blacklist_after = 1;
-        let run = run_phase_faulty(&c, &load, &mut FifoAnySlot, Some(&faults))
+        let run = run_phase(&c, &load, &mut FifoAnySlot, Some(&faults), None)
             .expect("seed 3 at rate 0.35 recovers");
         assert!(
             run.faults.failed_attempts > 0,
@@ -3314,7 +3333,7 @@ mod tests {
         };
         faults.crash_at_s[1] = Some(6.0);
         faults.crash_at_s[3] = Some(6.0);
-        let run = run_phase_faulty(&c, &load, &mut FifoAnySlot, Some(&faults))
+        let run = run_phase(&c, &load, &mut FifoAnySlot, Some(&faults), None)
             .expect("rack 0 survives to finish the phase");
         assert_eq!(run.faults.rack_crashes, 1, "one whole-rack outage");
         assert_eq!(run.faults.node_crashes, 2);
@@ -3336,7 +3355,8 @@ mod tests {
         let json = tl.to_chrome_trace_json();
         assert!(json.contains("\"name\":\"rack-crash:1\""));
         assert!(json.contains("\"ph\":\"i\""));
-        let clean = run_phase(&c, &load, &mut FifoAnySlot);
+        let clean =
+            run_phase(&c, &load, &mut FifoAnySlot, None, None).expect("fault-free phase drains");
         let mut tl = ClusterTimeline::new(&c);
         tl.extend("map", 0.0, &clean);
         assert!(!tl.to_chrome_trace_json().contains("\"ph\":\"i\""));
@@ -3354,7 +3374,7 @@ mod tests {
             rack_crash_at_s: vec![None, None],
             link_degraded: vec![None, None],
         };
-        let run = run_phase_faulty(&c, &load, &mut FifoAnySlot, Some(&faults))
+        let run = run_phase(&c, &load, &mut FifoAnySlot, Some(&faults), None)
             .expect("the spared rack finishes the phase");
         assert!(
             run.faults.failed_attempts > 0,
@@ -3390,7 +3410,7 @@ mod tests {
         let mut faults = PhaseFaults::inert(4);
         // Node 0 holds map outputs 0 and 1; it dies mid-shuffle.
         faults.crash_at_s[0] = Some(5.0);
-        let run = run_phase_faulty_fetch(&c, &load, &mut FifoAnySlot, Some(&faults), Some(&plan))
+        let run = run_phase(&c, &load, &mut FifoAnySlot, Some(&faults), Some(&plan))
             .expect("surviving replicas recover the lost outputs");
         // The in-flight reduce on node 0 is killed; the three on
         // surviving nodes register fetch failures.
@@ -3442,7 +3462,7 @@ mod tests {
         assert!(json.contains("\"outcome\":\"fetch-failed\""));
         assert!(json.contains("\"outcome\":\"recovered\""));
         // Determinism: same plan, same bytes.
-        let again = run_phase_faulty_fetch(&c, &load, &mut FifoAnySlot, Some(&faults), Some(&plan))
+        let again = run_phase(&c, &load, &mut FifoAnySlot, Some(&faults), Some(&plan))
             .expect("deterministic");
         assert_eq!(run, again);
     }
@@ -3456,7 +3476,7 @@ mod tests {
         let mut faults = PhaseFaults::inert(4);
         faults.crash_at_s[0] = Some(5.0);
         faults.crash_at_s[2] = Some(5.0);
-        let err = run_phase_faulty_fetch(&c, &load, &mut FifoAnySlot, Some(&faults), Some(&plan))
+        let err = run_phase(&c, &load, &mut FifoAnySlot, Some(&faults), Some(&plan))
             .expect_err("no replica survives");
         assert_eq!(err, PhaseError::DataLost { task: 0 });
         assert!(err.to_string().contains("lost every replica"));
@@ -3467,7 +3487,7 @@ mod tests {
         let (c, load, plan) = fetch_scenario();
         let mut faults = PhaseFaults::inert(4);
         faults.dead_at_start[0] = true;
-        let run = run_phase_faulty_fetch(&c, &load, &mut FifoAnySlot, Some(&faults), Some(&plan))
+        let run = run_phase(&c, &load, &mut FifoAnySlot, Some(&faults), Some(&plan))
             .expect("maps 0 and 1 recover from surviving replicas");
         assert_eq!(run.faults.reexecuted_maps, 2);
         assert_eq!(run.faults.fetch_failures, 0, "no reduce was in flight yet");
@@ -3488,9 +3508,9 @@ mod tests {
     fn fetch_plan_without_crashes_is_invisible() {
         let (c, load, plan) = fetch_scenario();
         let faults = PhaseFaults::inert(4);
-        let with = run_phase_faulty_fetch(&c, &load, &mut FifoAnySlot, Some(&faults), Some(&plan))
+        let with = run_phase(&c, &load, &mut FifoAnySlot, Some(&faults), Some(&plan))
             .expect("inert faults complete");
-        let without = run_phase_faulty(&c, &load, &mut FifoAnySlot, Some(&faults))
+        let without = run_phase(&c, &load, &mut FifoAnySlot, Some(&faults), None)
             .expect("inert faults complete");
         assert_eq!(with, without, "an unused fetch plan is a perfect no-op");
         assert!(with.recovered.is_empty());
@@ -3502,9 +3522,8 @@ mod tests {
         let (c, load, plan) = fetch_scenario();
         let mut faults = PhaseFaults::inert(4);
         faults.crash_at_s[0] = Some(5.0);
-        let healthy =
-            run_phase_faulty_fetch(&c, &load, &mut FifoAnySlot, Some(&faults), Some(&plan))
-                .expect("healthy links");
+        let healthy = run_phase(&c, &load, &mut FifoAnySlot, Some(&faults), Some(&plan))
+            .expect("healthy links");
         // Map 1's off-rack recovery read lands on node 1 (rack 1); a
         // degradation window over rack 1 multiplies that read by 4.
         faults.domains = PhaseDomains {
@@ -3519,9 +3538,8 @@ mod tests {
                 }),
             ],
         };
-        let degraded =
-            run_phase_faulty_fetch(&c, &load, &mut FifoAnySlot, Some(&faults), Some(&plan))
-                .expect("degraded links still recover");
+        let degraded = run_phase(&c, &load, &mut FifoAnySlot, Some(&faults), Some(&plan))
+            .expect("degraded links still recover");
         assert!(degraded.faults.link_degraded_attempts >= 1);
         assert_eq!(healthy.faults.link_degraded_attempts, 0);
         assert!(
@@ -3536,14 +3554,18 @@ mod tests {
     fn timeline_composes_phases_and_exports() {
         let c = mixed_cluster();
         let load = hetero_load(5, &c);
-        let map = run_phase(&c, &load, &mut FifoAnySlot);
+        let map =
+            run_phase(&c, &load, &mut FifoAnySlot, None, None).expect("fault-free phase drains");
         let red = run_phase(
             &c,
             &hetero_load(2, &c),
             &mut KindPreferring {
                 preferred: CoreKind::Big,
             },
-        );
+            None,
+            None,
+        )
+        .expect("fault-free phase drains");
         let mut tl = ClusterTimeline::new(&c);
         tl.extend("map", 0.0, &map);
         tl.extend("reduce", map.makespan_s, &red);

@@ -34,10 +34,7 @@
 
 use hhsim_accel::AccelConfig;
 use hhsim_arch::{presets, ComputeProfile, CoreKind, Frequency, MachineModel};
-use hhsim_energy::{
-    CostMetrics, MeterReading, MetricKind, PowerMeter, PowerTrace, StreamingMeter,
-    UtilizationTimeline,
-};
+use hhsim_energy::{CostMetrics, MeterReading, MetricKind, StreamingMeter, UtilizationTimeline};
 use hhsim_hdfs::{
     BlockId, BlockSize, DiskModel, HdfsDefault, LocalityTier, NodeId, PlacementRequest,
     ReplicaPlacement, Topology,
@@ -50,9 +47,8 @@ use serde::{Deserialize, Serialize};
 use hhsim_faults::{FaultConfig, FaultStats, NodeFaults, PhaseError};
 
 use crate::cluster::{
-    run_phase, run_phase_faulty, run_phase_faulty_fetch, Cluster, ClusterTimeline, FetchPlan,
-    FifoAnySlot, KindPreferring, NodeTiming, PhaseLoad, PhaseLocality, PhaseRun, Placement,
-    SlotStats, TaskSet,
+    fault_free, run_phase, Cluster, ClusterTimeline, FetchPlan, FifoAnySlot, KindPreferring,
+    NodeTiming, PhaseLoad, PhaseLocality, PhaseRun, Placement, SlotStats, TaskSet,
 };
 use crate::ratios::JobRatios;
 use crate::shuffle;
@@ -604,6 +600,15 @@ pub fn simulate_with(cfg: &SimConfig, cache: &SimCache) -> Measurement {
 
     // The wave scheduler: every node identical, first-free-slot placement.
     let cluster = Cluster::homogeneous(m.core.kind, cfg.nodes, slots);
+    let run_waves = |tasks, task_seconds| {
+        let set = TaskSet {
+            tasks,
+            task_seconds,
+            overhead_seconds: t_task_overhead,
+        };
+        let load = PhaseLoad::uniform(&set, &cluster);
+        fault_free(run_phase(&cluster, &load, &mut FifoAnySlot, None, None))
+    };
     let mut map_slots_stats = SlotStats::default();
     let mut reduce_slots_stats = SlotStats::default();
 
@@ -622,32 +627,10 @@ pub fn simulate_with(cfg: &SimConfig, cache: &SimCache) -> Measurement {
             &map_prof,
             &red_prof,
         );
-        let map_run = run_phase(
-            &cluster,
-            &PhaseLoad::uniform(
-                &TaskSet {
-                    tasks: t.n_map,
-                    task_seconds: t.map_task_s,
-                    overhead_seconds: t_task_overhead,
-                },
-                &cluster,
-            ),
-            &mut FifoAnySlot,
-        );
+        let map_run = run_waves(t.n_map, t.map_task_s);
         map_slots_stats.absorb(&map_run.slots);
         let reduce_wall = if t.n_red > 0 {
-            let red_run = run_phase(
-                &cluster,
-                &PhaseLoad::uniform(
-                    &TaskSet {
-                        tasks: t.n_red,
-                        task_seconds: t.red_task_s,
-                        overhead_seconds: t_task_overhead,
-                    },
-                    &cluster,
-                ),
-                &mut FifoAnySlot,
-            );
+            let red_run = run_waves(t.n_red, t.red_task_s);
             reduce_slots_stats.absorb(&red_run.slots);
             red_run.makespan_s
         } else {
@@ -753,11 +736,12 @@ pub fn simulate_with(cfg: &SimConfig, cache: &SimCache) -> Measurement {
     );
     let p_oth = m.power.node_power(op, 1, m.num_cores, 0.35, 0.2, 0.1);
 
-    let mut trace = PowerTrace::new();
-    trace.push(breakdown.map_s, p_map.total());
-    trace.push(breakdown.reduce_s, p_red.total());
-    trace.push(breakdown.others_s, p_oth.total());
-    let reading = PowerMeter::default().measure(&trace);
+    let mut meter = StreamingMeter::new();
+    meter.push(breakdown.map_s, p_map.total());
+    meter.push(breakdown.reduce_s, p_red.total());
+    meter.push(breakdown.others_s, p_oth.total());
+    let metered = meter.finish();
+    let reading = metered.meter;
     let idle = m.power.node_idle_w;
 
     let map_cost_detail = PhaseCost {
@@ -780,8 +764,7 @@ pub fn simulate_with(cfg: &SimConfig, cache: &SimCache) -> Measurement {
     };
 
     let energy_j = reading.dynamic_energy_j(idle) * cfg.nodes as f64;
-    let exact_energy_j =
-        (trace.exact_energy_j() - idle * trace.duration_s()).max(0.0) * cfg.nodes as f64;
+    let exact_energy_j = metered.exact_dynamic_energy_j(idle) * cfg.nodes as f64;
     let area = slots as f64 * m.area_mm2;
     let cost = CostMetrics::new(energy_j, breakdown.total(), area);
     let map_cost = CostMetrics::new(
@@ -1427,7 +1410,13 @@ impl ClusterPrep {
             );
             phase_idx += 1;
             let map_run = cache.phase_run(map_key, || {
-                run_phase_faulty(cluster, &map_load, placement.as_mut(), map_faults.as_ref())
+                run_phase(
+                    cluster,
+                    &map_load,
+                    placement.as_mut(),
+                    map_faults.as_ref(),
+                    None,
+                )
             })?;
             map_slots_stats.absorb(&map_run.slots);
             fault_stats.absorb(&map_run.faults);
@@ -1501,7 +1490,7 @@ impl ClusterPrep {
                 );
                 phase_idx += 1;
                 let red_run = cache.phase_run(red_key, || {
-                    run_phase_faulty_fetch(
+                    run_phase(
                         cluster,
                         &red_load,
                         placement.as_mut(),

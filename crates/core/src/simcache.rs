@@ -47,7 +47,7 @@ type RunKey = (AppId, u64, u64, u64, usize, u64);
 type Table<K, V> = Mutex<HashMap<K, Arc<OnceLock<V>>>>;
 
 /// Structural identity of one cluster-engine phase run — every input
-/// `run_phase_faulty` sees, field by field (full equality, no lossy
+/// `run_phase` sees, field by field (full equality, no lossy
 /// digest). Sweeps that vary only reduce-side or fault parameters
 /// produce identical map-phase keys and reuse the memoized
 /// [`PhaseRun`].

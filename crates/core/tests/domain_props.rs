@@ -4,9 +4,7 @@
 //! configuration must be bitwise invisible end to end.
 
 use hhsim_core::arch::{presets, CoreKind};
-use hhsim_core::cluster::{
-    run_phase_faulty_fetch, Cluster, FetchPlan, FifoAnySlot, NodeTiming, PhaseLoad,
-};
+use hhsim_core::cluster::{run_phase, Cluster, FetchPlan, FifoAnySlot, NodeTiming, PhaseLoad};
 use hhsim_core::faults::{
     AttemptOutcome, DomainConfig, FaultConfig, NodeFaults, PhaseError, RecoveryPolicy,
 };
@@ -112,7 +110,7 @@ fn domain_invariants_hold_under_the_full_fault_mix() {
         let faults = sampled.phase(&s.cfg, 1, s.cfg.reduce_failure_rate, g.f64() * 30.0);
         let plan = g.bool(0.7).then(|| fetch_plan(g, &s));
         let run_once = || {
-            run_phase_faulty_fetch(
+            run_phase(
                 &s.cluster,
                 &s.load,
                 &mut FifoAnySlot,

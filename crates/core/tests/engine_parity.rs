@@ -89,7 +89,9 @@ fn mixed_makespan(
     let cluster = Cluster::mixed(big, 2, little, 2);
     let (tb, tl) = timings();
     let load = PhaseLoad::by_kind(tasks, tb, tl, &cluster);
-    run_phase(&cluster, &load, placement).makespan_s
+    run_phase(&cluster, &load, placement, None, None)
+        .expect("fault-free phase drains")
+        .makespan_s
 }
 
 #[test]
@@ -183,7 +185,8 @@ fn tiny_instances_match_trace_recomputation_and_brute_force_bound() {
                     preferred: CoreKind::Big,
                 },
             ] {
-                let run = run_phase(&cluster, &load, placement);
+                let run = run_phase(&cluster, &load, placement, None, None)
+                    .expect("fault-free phase drains");
 
                 // Oracle 1: recompute the makespan from the engine's own
                 // spans with independent integer arithmetic.

@@ -8,9 +8,7 @@
 //! that cannot finish reports a clean error instead of wedging.
 
 use hhsim_core::arch::CoreKind;
-use hhsim_core::cluster::{
-    run_phase_faulty, Cluster, FifoAnySlot, KindPreferring, NodeTiming, PhaseLoad,
-};
+use hhsim_core::cluster::{run_phase, Cluster, FifoAnySlot, KindPreferring, NodeTiming, PhaseLoad};
 use hhsim_core::faults::{
     AttemptOutcome, FaultConfig, FaultPlan, NodeFaults, PhaseError, PhaseFaults, RecoveryPolicy,
 };
@@ -78,16 +76,17 @@ fn recovery_invariants_hold_over_random_fault_plans() {
         let kind_first = g.bool(0.5);
         let run = |faults: &PhaseFaults| {
             if kind_first {
-                run_phase_faulty(
+                run_phase(
                     &s.cluster,
                     &s.load,
                     &mut KindPreferring {
                         preferred: CoreKind::Little,
                     },
                     Some(faults),
+                    None,
                 )
             } else {
-                run_phase_faulty(&s.cluster, &s.load, &mut FifoAnySlot, Some(faults))
+                run_phase(&s.cluster, &s.load, &mut FifoAnySlot, Some(faults), None)
             }
         };
         let result = run(&s.faults);
@@ -188,7 +187,7 @@ fn blacklisted_nodes_receive_no_new_attempts() {
             policy,
             domains: hhsim_faults::PhaseDomains::default(),
         };
-        let Ok(run) = run_phase_faulty(&cluster, &load, &mut FifoAnySlot, Some(&faults)) else {
+        let Ok(run) = run_phase(&cluster, &load, &mut FifoAnySlot, Some(&faults), None) else {
             // Attempts exhausted under a hot failure rate: fine, covered
             // by the invariant suite above.
             return;

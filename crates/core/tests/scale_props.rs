@@ -10,8 +10,8 @@
 
 use hhsim_core::arch::CoreKind;
 use hhsim_core::cluster::{
-    jitter, placement_probes, reset_placement_probes, run_phase, run_phase_faulty, Cluster,
-    FifoAnySlot, PhaseLoad, PhaseRun, TaskSet,
+    jitter, placement_probes, reset_placement_probes, run_phase, Cluster, FifoAnySlot, PhaseLoad,
+    PhaseRun, TaskSet,
 };
 use hhsim_core::faults::{AttemptOutcome, FaultPlan, PhaseFaults, RecoveryPolicy};
 
@@ -83,7 +83,8 @@ fn assert_run_invariants(run: &PhaseRun, tasks: usize) {
 #[test]
 fn fault_free_run_at_scale_holds_invariants() {
     let c = big_cluster(NODES, SLOTS);
-    let run = run_phase(&c, &load(TASKS, &c), &mut FifoAnySlot);
+    let run = run_phase(&c, &load(TASKS, &c), &mut FifoAnySlot, None, None)
+        .expect("fault-free phase drains");
     assert_run_invariants(&run, TASKS);
 
     // Slot-seconds conservation against the analytic total: every task
@@ -110,7 +111,7 @@ fn faulty_run_at_scale_holds_invariants() {
     faults.crash_at_s[17] = Some(12.0);
     faults.crash_at_s[800] = Some(30.0);
     faults.slowdown[3] = 3.0;
-    let run = run_phase_faulty(&c, &load(TASKS, &c), &mut FifoAnySlot, Some(&faults))
+    let run = run_phase(&c, &load(TASKS, &c), &mut FifoAnySlot, Some(&faults), None)
         .expect("2% failures over 1k nodes must recover");
     assert_run_invariants(&run, TASKS);
     assert!(
@@ -139,8 +140,8 @@ fn scale_runs_are_deterministic() {
     let mut faults = failure_faults(NODES, 0.01, 7);
     faults.crash_at_s[100] = Some(20.0);
     let l = load(TASKS, &c);
-    let a = run_phase_faulty(&c, &l, &mut FifoAnySlot, Some(&faults)).expect("recovers");
-    let b = run_phase_faulty(&c, &l, &mut FifoAnySlot, Some(&faults)).expect("recovers");
+    let a = run_phase(&c, &l, &mut FifoAnySlot, Some(&faults), None).expect("recovers");
+    let b = run_phase(&c, &l, &mut FifoAnySlot, Some(&faults), None).expect("recovers");
     assert_eq!(a, b, "same seed, same run, bit for bit");
 }
 
@@ -158,8 +159,14 @@ fn blacklisting_at_10k_nodes_stays_sublinear() {
     faults.policy.blacklist_after = 1;
     faults.policy.speculation = false; // isolate the placement path
     reset_placement_probes();
-    let run = run_phase_faulty(&c, &load(BIG_TASKS, &c), &mut FifoAnySlot, Some(&faults))
-        .expect("0.1% failures recover");
+    let run = run_phase(
+        &c,
+        &load(BIG_TASKS, &c),
+        &mut FifoAnySlot,
+        Some(&faults),
+        None,
+    )
+    .expect("0.1% failures recover");
     let probes = placement_probes();
     assert_run_invariants(&run, BIG_TASKS);
     assert!(

@@ -10,8 +10,8 @@
 
 use hhsim_core::arch::CoreKind;
 use hhsim_core::cluster::{
-    run_phase, run_phase_faulty, Cluster, ClusterTimeline, FifoAnySlot, KindPreferring, NodeTiming,
-    PhaseLoad, PhaseLocality,
+    run_phase, Cluster, ClusterTimeline, FifoAnySlot, KindPreferring, NodeTiming, PhaseLoad,
+    PhaseLocality,
 };
 use hhsim_core::faults::{FaultPlan, PhaseFaults, RecoveryPolicy};
 
@@ -40,12 +40,18 @@ fn timeline() -> ClusterTimeline {
         &mut KindPreferring {
             preferred: CoreKind::Little,
         },
-    );
+        None,
+        None,
+    )
+    .expect("fault-free phase drains");
     let red = run_phase(
         &cluster,
         &PhaseLoad::by_kind(3, big, little, &cluster),
         &mut FifoAnySlot,
-    );
+        None,
+        None,
+    )
+    .expect("fault-free phase drains");
     let mut tl = ClusterTimeline::new(&cluster);
     tl.extend("map", 0.0, &map);
     tl.extend("reduce", map.makespan_s, &red);
@@ -74,11 +80,12 @@ fn faulty_timeline() -> ClusterTimeline {
         policy: RecoveryPolicy::hadoop(),
         domains: hhsim_faults::PhaseDomains::default(),
     };
-    let map = run_phase_faulty(
+    let map = run_phase(
         &cluster,
         &PhaseLoad::by_kind(9, big, little, &cluster),
         &mut FifoAnySlot,
         Some(&faults),
+        None,
     )
     .expect("map phase recovers");
     let mut tl = ClusterTimeline::new(&cluster);
@@ -110,12 +117,18 @@ fn tiered_timeline() -> ClusterTimeline {
         &cluster,
         &PhaseLoad::by_kind(7, big, little, &cluster).with_locality(locality),
         &mut FifoAnySlot,
-    );
+        None,
+        None,
+    )
+    .expect("fault-free phase drains");
     let red = run_phase(
         &cluster,
         &PhaseLoad::by_kind(3, big, little, &cluster).with_extra_seconds(vec![0.5, 2.0, 0.0]),
         &mut FifoAnySlot,
-    );
+        None,
+        None,
+    )
+    .expect("fault-free phase drains");
     let mut tl = ClusterTimeline::new(&cluster);
     tl.extend("map", 0.0, &map);
     tl.extend("reduce", map.makespan_s, &red);

@@ -1,14 +1,15 @@
 //! Event-driven energy integration with a streamed 1 Hz meter view.
 //!
-//! The batch pipeline (`UtilizationTimeline::to_power_trace` +
-//! [`PowerMeter::measure`]) materializes every power segment and then
-//! walks the whole trace once per 1 Hz sample — O(samples × segments)
-//! time and O(segments) memory per node. [`StreamingMeter`] replaces
-//! both passes: segments are pushed once in execution order, the exact
-//! piecewise integral `Σ duration × watts` accumulates per push, and
-//! the legacy 1 Hz midpoint samples are resolved *online* against a
-//! tiny retained tail of segments — O(samples + segments) time, O(1)
-//! memory in the trace length.
+//! The batch pipeline (a materialized [`PowerTrace`] sampled by
+//! [`PowerMeter::measure`]) holds every power segment and then walks the
+//! whole trace once per 1 Hz sample — O(samples × segments) time and
+//! O(segments) memory per node. [`StreamingMeter`] replaces both passes:
+//! segments are pushed once in execution order, the exact piecewise
+//! integral `Σ duration × watts` accumulates per push, and the 1 Hz
+//! midpoint samples are resolved *online* against a tiny retained tail
+//! of segments — O(samples + segments) time, O(1) memory in the trace
+//! length. Every simulation path meters through it; the batch pipeline
+//! stays as its reference.
 //!
 //! The metered view is **bit-for-bit identical** to
 //! [`PowerMeter::measure`] on the equivalent [`PowerTrace`]:

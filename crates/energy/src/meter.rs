@@ -1,4 +1,7 @@
-//! The simulated wall-power meter.
+//! The batch wall-power meter: a materialized [`PowerTrace`] sampled by
+//! [`PowerMeter`]. The simulator meters through
+//! [`StreamingMeter`](crate::StreamingMeter), which reproduces this
+//! pipeline bit for bit; it stays as that meter's reference.
 
 use serde::{Deserialize, Serialize};
 

@@ -610,8 +610,11 @@ pub struct PhaseFaults {
 }
 
 impl PhaseFaults {
-    /// A fault-free phase over `nodes` nodes — useful for exercising the
-    /// fault-aware engine path without injecting anything.
+    /// An inert fault layer over `nodes` nodes: no failures, crashes,
+    /// stragglers or failure domains. It keeps
+    /// [`RecoveryPolicy::hadoop`], whose LATE speculation still
+    /// duplicates slow attempts; with `policy.speculation` off it is the
+    /// same run as no fault layer at all.
     pub fn inert(nodes: usize) -> Self {
         PhaseFaults {
             plan: FaultPlan::new(0, 0, 0.0),
