@@ -71,11 +71,20 @@ fn bench_trace_export(c: &mut Criterion) {
     let mut tl = ClusterTimeline::new(&cluster);
     tl.extend("map", 0.0, &run);
     g.throughput(Throughput::Elements(set.tasks as u64));
+    let mut buf = Vec::new();
     g.bench_function("chrome_json/512_spans", |b| {
-        b.iter(|| black_box(tl.to_chrome_trace_json()).len())
+        b.iter(|| {
+            buf.clear();
+            tl.write_chrome_trace(&mut buf).expect("Vec write");
+            black_box(buf.len())
+        })
     });
     g.bench_function("utilization_csv/512_spans", |b| {
-        b.iter(|| black_box(tl.utilization_csv()).len())
+        b.iter(|| {
+            buf.clear();
+            tl.write_utilization_csv(&mut buf).expect("Vec write");
+            black_box(buf.len())
+        })
     });
     g.finish();
 }

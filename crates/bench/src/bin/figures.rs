@@ -24,18 +24,15 @@ use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::time::Instant;
 
-use hhsim_core::{harness, SimCache};
+use hhsim_core::{harness, SimCache, SimConfig};
 
-/// Streams a trace JSON + utilization CSV pair to disk through buffered
-/// writers, keeping memory flat however many spans the timeline holds.
-fn stream_trace(
-    trace_path: &Path,
-    util_path: &Path,
-    render: impl FnOnce(&mut BufWriter<File>, &mut BufWriter<File>) -> io::Result<()>,
-) -> io::Result<()> {
+/// Simulates `cfg` and streams its trace JSON + utilization CSV pair to
+/// disk through buffered writers, keeping memory flat however many spans
+/// the timeline holds.
+fn stream_trace(cfg: &SimConfig, trace_path: &Path, util_path: &Path) -> io::Result<()> {
     let mut trace = BufWriter::new(File::create(trace_path)?);
     let mut util = BufWriter::new(File::create(util_path)?);
-    render(&mut trace, &mut util)?;
+    hhsim_bench::write_trace(cfg, &mut trace, &mut util)?;
     trace.flush()?;
     util.flush()
 }
@@ -107,43 +104,14 @@ fn main() {
             Some(Ok((id, csv))) => {
                 let path = out_dir.join(format!("{id}.csv"));
                 fs::write(&path, &csv).expect("write figure CSV");
-                if id == "fig18" {
-                    // Fig. 18 ships its representative cluster trace: a
-                    // Chrome-trace timeline plus per-node utilization
-                    // steps, streamed straight to disk.
-                    let tp = out_dir.join("fig18_trace.json");
-                    let up = out_dir.join("fig18_util.csv");
-                    stream_trace(&tp, &up, hhsim_bench::write_fig18_trace)
-                        .expect("write fig18 trace artifacts");
-                    println!("wrote {} and {}", tp.display(), up.display());
-                }
-                if id == "fig19" {
-                    // Fig. 19 ships its representative fault-injection
-                    // trace: re-executed, killed and speculated attempts.
-                    let tp = out_dir.join("fig19_trace.json");
-                    let up = out_dir.join("fig19_util.csv");
-                    stream_trace(&tp, &up, hhsim_bench::write_fig19_trace)
-                        .expect("write fig19 trace artifacts");
-                    println!("wrote {} and {}", tp.display(), up.display());
-                }
-                if id == "fig21" {
-                    // Fig. 21 ships its representative rack-fabric trace:
-                    // spans tagged with their locality tier plus the
-                    // tiered per-node utilization columns.
-                    let tp = out_dir.join("fig21_trace.json");
-                    let up = out_dir.join("fig21_util.csv");
-                    stream_trace(&tp, &up, hhsim_bench::write_fig21_trace)
-                        .expect("write fig21 trace artifacts");
-                    println!("wrote {} and {}", tp.display(), up.display());
-                }
-                if id == "fig22" {
-                    // Fig. 22 ships its representative correlated-failure
-                    // trace: a rack crash, cancelled fetches, re-executed
-                    // maps on surviving replicas and a rack blacklist.
-                    let tp = out_dir.join("fig22_trace.json");
-                    let up = out_dir.join("fig22_util.csv");
-                    stream_trace(&tp, &up, hhsim_bench::write_fig22_trace)
-                        .expect("write fig22 trace artifacts");
+                if let Some(cfg) = hhsim_bench::trace_config(&id) {
+                    // Figs. 18, 19, 21 and 22 ship their representative
+                    // cluster run: a Chrome-trace timeline plus per-node
+                    // utilization steps, streamed straight to disk.
+                    let tp = out_dir.join(format!("{id}_trace.json"));
+                    let up = out_dir.join(format!("{id}_util.csv"));
+                    stream_trace(&cfg, &tp, &up)
+                        .unwrap_or_else(|e| panic!("write {id} trace artifacts: {e}"));
                     println!("wrote {} and {}", tp.display(), up.display());
                 }
                 let cache = SimCache::global().stats().since(&cache_before);

@@ -7,6 +7,8 @@
 //!   generators, the functional MapReduce engine and the model's ablation
 //!   knobs.
 
+use std::io::{self, Write};
+
 use hhsim_core::arch::presets;
 use hhsim_core::energy::MetricKind;
 use hhsim_core::faults::{PhaseError, RecoveryPolicy};
@@ -51,27 +53,6 @@ pub fn fig18_trace_config() -> SimConfig {
         })
 }
 
-/// Renders the fig. 18 trace artifacts as `(chrome_trace_json, util_csv)`.
-///
-/// Buffered reference form; the `figures` bin streams the same bytes via
-/// [`write_fig18_trace`].
-pub fn fig18_trace() -> (String, String) {
-    let (_, timeline) = simulate_cluster(&fig18_trace_config());
-    (timeline.to_chrome_trace_json(), timeline.utilization_csv())
-}
-
-/// Streams the fig. 18 trace artifacts — byte-identical to
-/// [`fig18_trace`] but written incrementally, so the export stays flat
-/// in memory at any span count.
-pub fn write_fig18_trace(
-    trace: &mut impl std::io::Write,
-    util: &mut impl std::io::Write,
-) -> std::io::Result<()> {
-    let (_, timeline) = simulate_cluster(&fig18_trace_config());
-    timeline.write_chrome_trace(trace)?;
-    timeline.write_utilization_csv(util)
-}
-
 /// The representative fault-injection run whose trace ships next to
 /// `fig19.csv`: WordCount on the 1 Xeon + 2 Atom mix under the Fig. 19
 /// fault model at a 6% failure rate, plus a node MTTF tuned so exactly one
@@ -103,26 +84,6 @@ pub const FIG19_TRACE_MTTF_S: f64 = 300.0;
 /// backups with cancelled rivals, and one blacklisted node.
 pub const FIG19_TRACE_SEED: u64 = 6;
 
-/// Renders the fig. 19 trace artifacts as `(chrome_trace_json, util_csv)`.
-///
-/// Buffered reference form; the `figures` bin streams the same bytes via
-/// [`write_fig19_trace`].
-pub fn fig19_trace() -> (String, String) {
-    let (_, timeline) = simulate_cluster(&fig19_trace_config());
-    (timeline.to_chrome_trace_json(), timeline.utilization_csv())
-}
-
-/// Streams the fig. 19 trace artifacts — byte-identical to
-/// [`fig19_trace`] but written incrementally.
-pub fn write_fig19_trace(
-    trace: &mut impl std::io::Write,
-    util: &mut impl std::io::Write,
-) -> std::io::Result<()> {
-    let (_, timeline) = simulate_cluster(&fig19_trace_config());
-    timeline.write_chrome_trace(trace)?;
-    timeline.write_utilization_csv(util)
-}
-
 /// The representative rack-fabric run whose trace ships next to
 /// `fig21.csv`: TeraSort on the 4 Xeon + 8 Atom mix over 4 racks with a
 /// 16x-oversubscribed ToR uplink, at 64 MB blocks so map tasks outnumber
@@ -139,26 +100,6 @@ pub fn fig21_trace_config() -> SimConfig {
             little: 8,
             placement: PlacementKind::PaperClass(MetricKind::Edp),
         })
-}
-
-/// Renders the fig. 21 trace artifacts as `(chrome_trace_json, util_csv)`.
-///
-/// Buffered reference form; the `figures` bin streams the same bytes via
-/// [`write_fig21_trace`].
-pub fn fig21_trace() -> (String, String) {
-    let (_, timeline) = simulate_cluster(&fig21_trace_config());
-    (timeline.to_chrome_trace_json(), timeline.utilization_csv())
-}
-
-/// Streams the fig. 21 trace artifacts — byte-identical to
-/// [`fig21_trace`] but written incrementally.
-pub fn write_fig21_trace(
-    trace: &mut impl std::io::Write,
-    util: &mut impl std::io::Write,
-) -> std::io::Result<()> {
-    let (_, timeline) = simulate_cluster(&fig21_trace_config());
-    timeline.write_chrome_trace(trace)?;
-    timeline.write_utilization_csv(util)
 }
 
 /// Per-rack switch-failure rate (crashes/hour) for the fig. 22 trace:
@@ -199,22 +140,27 @@ pub fn fig22_trace_config() -> SimConfig {
         .faults(faults)
 }
 
-/// Renders the fig. 22 trace artifacts as `(chrome_trace_json, util_csv)`.
-///
-/// Buffered reference form; the `figures` bin streams the same bytes via
-/// [`write_fig22_trace`].
-pub fn fig22_trace() -> (String, String) {
-    let (_, timeline) = simulate_cluster(&fig22_trace_config());
-    (timeline.to_chrome_trace_json(), timeline.utilization_csv())
+/// The artifacts that ship a streamed trace pair next to their CSV, with
+/// the representative run behind each.
+pub fn trace_config(id: &str) -> Option<SimConfig> {
+    match id {
+        "fig18" => Some(fig18_trace_config()),
+        "fig19" => Some(fig19_trace_config()),
+        "fig21" => Some(fig21_trace_config()),
+        "fig22" => Some(fig22_trace_config()),
+        _ => None,
+    }
 }
 
-/// Streams the fig. 22 trace artifacts — byte-identical to
-/// [`fig22_trace`] but written incrementally.
-pub fn write_fig22_trace(
-    trace: &mut impl std::io::Write,
-    util: &mut impl std::io::Write,
-) -> std::io::Result<()> {
-    let (_, timeline) = simulate_cluster(&fig22_trace_config());
+/// Simulates `cfg` and streams its trace pair: the Chrome-trace JSON to
+/// `trace`, the per-node utilization CSV to `util`. Both are written
+/// incrementally, so the export stays flat in memory at any span count.
+pub fn write_trace(
+    cfg: &SimConfig,
+    trace: &mut impl Write,
+    util: &mut impl Write,
+) -> io::Result<()> {
+    let (_, timeline) = simulate_cluster(cfg);
     timeline.write_chrome_trace(trace)?;
     timeline.write_utilization_csv(util)
 }
@@ -230,6 +176,30 @@ pub fn render_all() -> Vec<(String, Result<FigureData, PhaseError>)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The trace pair of artifact `id`, streamed into memory.
+    fn trace(id: &str) -> (String, String) {
+        let cfg = trace_config(id).expect("artifact ships a trace");
+        let (mut json, mut util) = (Vec::new(), Vec::new());
+        write_trace(&cfg, &mut json, &mut util).expect("writing to a Vec cannot fail");
+        (
+            String::from_utf8(json).expect("trace is UTF-8"),
+            String::from_utf8(util).expect("util is UTF-8"),
+        )
+    }
+
+    /// The checked-in `results/{id}_trace.json` and `results/{id}_util.csv`
+    /// match a fresh render.
+    fn assert_checked_in_trace_is_current(id: &str) {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let (json, util) = trace(id);
+        let disk_json = std::fs::read_to_string(format!("{root}/results/{id}_trace.json"))
+            .expect("trace is checked in");
+        let disk_util = std::fs::read_to_string(format!("{root}/results/{id}_util.csv"))
+            .expect("utilization is checked in");
+        assert_eq!(json, disk_json, "regenerate with the figures binary");
+        assert_eq!(util, disk_util, "regenerate with the figures binary");
+    }
 
     #[test]
     fn render_known_and_unknown() {
@@ -248,12 +218,17 @@ mod tests {
         assert!(ids.contains(&"fig21"));
         assert!(ids.contains(&"fig22"));
         assert_eq!(ids.len(), 25);
+        let traced: Vec<_> = ids
+            .into_iter()
+            .filter(|id| trace_config(id).is_some())
+            .collect();
+        assert_eq!(traced, ["fig18", "fig19", "fig21", "fig22"]);
     }
 
     #[test]
     fn fig18_trace_is_deterministic_and_well_formed() {
-        let (json, csv) = fig18_trace();
-        let (json2, csv2) = fig18_trace();
+        let (json, csv) = trace("fig18");
+        let (json2, csv2) = trace("fig18");
         assert_eq!(json, json2, "trace export must be deterministic");
         assert_eq!(csv, csv2);
         assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
@@ -272,8 +247,8 @@ mod tests {
         );
         assert!(m.faults.speculative_wins > 0, "some backups must win");
         assert_eq!(m.faults.blacklisted_nodes, 1, "one node gets blacklisted");
-        let (json, csv) = fig19_trace();
-        let (json2, csv2) = fig19_trace();
+        let (json, csv) = trace("fig19");
+        let (json2, csv2) = trace("fig19");
         assert_eq!(json, json2, "trace export must be deterministic");
         assert_eq!(csv, csv2);
         assert!(json.contains("\"outcome\":\"killed\""));
@@ -291,8 +266,8 @@ mod tests {
             "64 MB blocks must push some reads off-node: {:?}",
             m.map_locality_tiers
         );
-        let (json, csv) = fig21_trace();
-        let (json2, csv2) = fig21_trace();
+        let (json, csv) = trace("fig21");
+        let (json2, csv2) = trace("fig21");
         assert_eq!(json, json2, "trace export must be deterministic");
         assert_eq!(csv, csv2);
         assert!(json.contains("\"tier\":\"rack-local\"") || json.contains("\"tier\":\"off-rack\""));
@@ -304,38 +279,17 @@ mod tests {
 
     #[test]
     fn checked_in_fig21_trace_is_current() {
-        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-        let (json, util) = fig21_trace();
-        let disk_json = std::fs::read_to_string(format!("{root}/results/fig21_trace.json"))
-            .expect("results/fig21_trace.json is checked in");
-        let disk_util = std::fs::read_to_string(format!("{root}/results/fig21_util.csv"))
-            .expect("results/fig21_util.csv is checked in");
-        assert_eq!(json, disk_json, "regenerate with the figures binary");
-        assert_eq!(util, disk_util, "regenerate with the figures binary");
+        assert_checked_in_trace_is_current("fig21");
     }
 
     #[test]
     fn checked_in_fig18_trace_is_current() {
-        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-        let (json, util) = fig18_trace();
-        let disk_json = std::fs::read_to_string(format!("{root}/results/fig18_trace.json"))
-            .expect("results/fig18_trace.json is checked in");
-        let disk_util = std::fs::read_to_string(format!("{root}/results/fig18_util.csv"))
-            .expect("results/fig18_util.csv is checked in");
-        assert_eq!(json, disk_json, "regenerate with the figures binary");
-        assert_eq!(util, disk_util, "regenerate with the figures binary");
+        assert_checked_in_trace_is_current("fig18");
     }
 
     #[test]
     fn checked_in_fig19_trace_is_current() {
-        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-        let (json, util) = fig19_trace();
-        let disk_json = std::fs::read_to_string(format!("{root}/results/fig19_trace.json"))
-            .expect("results/fig19_trace.json is checked in");
-        let disk_util = std::fs::read_to_string(format!("{root}/results/fig19_util.csv"))
-            .expect("results/fig19_util.csv is checked in");
-        assert_eq!(json, disk_json, "regenerate with the figures binary");
-        assert_eq!(util, disk_util, "regenerate with the figures binary");
+        assert_checked_in_trace_is_current("fig19");
     }
 
     #[test]
@@ -355,8 +309,8 @@ mod tests {
             f.racks_blacklisted >= 1,
             "attempt failures must escalate to a rack blacklist"
         );
-        let (json, csv) = fig22_trace();
-        let (json2, csv2) = fig22_trace();
+        let (json, csv) = trace("fig22");
+        let (json2, csv2) = trace("fig22");
         assert_eq!(json, json2, "trace export must be deterministic");
         assert_eq!(csv, csv2);
         // The correlated-failure vocabulary is all visible in one trace…
@@ -365,7 +319,7 @@ mod tests {
         assert!(json.contains("\"name\":\"rack-crash:"));
         assert!(json.contains("\"name\":\"rack-blacklisted:"));
         // …and in none of the clean traces (golden-vocabulary negative).
-        for clean in [fig18_trace().0, fig19_trace().0, fig21_trace().0] {
+        for clean in [trace("fig18").0, trace("fig19").0, trace("fig21").0] {
             assert!(!clean.contains("fetch-failed"));
             assert!(!clean.contains("\"outcome\":\"recovered\""));
             assert!(!clean.contains("rack-crash"));
@@ -375,13 +329,6 @@ mod tests {
 
     #[test]
     fn checked_in_fig22_trace_is_current() {
-        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-        let (json, util) = fig22_trace();
-        let disk_json = std::fs::read_to_string(format!("{root}/results/fig22_trace.json"))
-            .expect("results/fig22_trace.json is checked in");
-        let disk_util = std::fs::read_to_string(format!("{root}/results/fig22_util.csv"))
-            .expect("results/fig22_util.csv is checked in");
-        assert_eq!(json, disk_json, "regenerate with the figures binary");
-        assert_eq!(util, disk_util, "regenerate with the figures binary");
+        assert_checked_in_trace_is_current("fig22");
     }
 }

@@ -781,9 +781,9 @@ impl Placement for KindPreferring {
     }
 }
 
-/// Slot admission counters of one engine run (the cluster-level analogue
-/// of [`hhsim_des::PoolStats`]), surfaced through `Measurement` so
-/// figures can report slot utilization and queueing delay per phase.
+/// Slot admission counters of one engine run, surfaced through
+/// `Measurement` so figures can report slot utilization and queueing
+/// delay per phase.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct SlotStats {
     /// Total slots across the cluster.
@@ -2420,6 +2420,15 @@ impl ClusterTimeline {
         self.finished_s.iter().copied().fold(0.0, f64::max)
     }
 
+    /// Domain-event annotations as `(absolute time s, label)`, in append
+    /// order.
+    pub fn annotations(&self) -> impl Iterator<Item = (f64, &str)> + '_ {
+        self.ann_time_s
+            .iter()
+            .copied()
+            .zip(self.ann_label.iter().map(String::as_str))
+    }
+
     /// Folds a `(time, ±1)` event list (already grouped per node, in
     /// span-append order) into the active-slot step function.
     fn steps_from_events(events: &mut [(f64, i64)]) -> Vec<(f64, usize)> {
@@ -2441,20 +2450,6 @@ impl ClusterTimeline {
             }
         }
         steps
-    }
-
-    /// Step function of busy slots on `node`: `(time, active)` points at
-    /// every change, starting at `(0, 0)`. Feeds the utilization-driven
-    /// power model.
-    pub fn active_steps(&self, node: usize) -> Vec<(f64, usize)> {
-        let mut events: Vec<(f64, i64)> = Vec::new();
-        for i in 0..self.len() {
-            if self.node.get(i).copied() == Some(narrow(node)) {
-                events.push((self.launched_s.get(i).copied().unwrap_or(0.0), 1));
-                events.push((self.finished_s.get(i).copied().unwrap_or(0.0), -1));
-            }
-        }
-        Self::steps_from_events(&mut events)
     }
 
     /// True if any span ran off its input's node — the trigger for the
@@ -2520,10 +2515,10 @@ impl ClusterTimeline {
             .collect()
     }
 
-    /// [`active_steps`](Self::active_steps) for every node in one linear
-    /// pass over the span columns — O(spans + nodes) instead of the
-    /// O(nodes × spans) of calling the per-node form in a loop. The
-    /// per-node step functions are identical to the per-node form's.
+    /// Step function of busy slots on every node, from one linear pass
+    /// over the span columns: per node, `(time, active)` points at every
+    /// change, starting at `(0, 0)`. Feeds the utilization-driven power
+    /// model.
     pub fn active_steps_all(&self) -> Vec<Vec<(f64, usize)>> {
         let mut events: Vec<Vec<(f64, i64)>> = vec![Vec::new(); self.nodes.len()];
         for i in 0..self.len() {
@@ -2539,82 +2534,13 @@ impl ClusterTimeline {
             .collect()
     }
 
-    /// Busy slot-seconds on `node` (integral of the active-slot curve).
-    pub fn busy_slot_seconds(&self, node: usize) -> f64 {
-        let mut sum = 0.0;
-        for i in 0..self.len() {
-            if self.node.get(i).copied() == Some(narrow(node)) {
-                sum += self.finished_s.get(i).copied().unwrap_or(0.0)
-                    - self.launched_s.get(i).copied().unwrap_or(0.0);
-            }
-        }
-        sum
-    }
-
-    /// Chrome-trace-viewer JSON (`chrome://tracing`, Perfetto): one `X`
-    /// event per task span, `pid` = node, `tid` = slot, timestamps in
-    /// microseconds, plus process-name metadata per node. Output is
-    /// deterministic: spans are emitted in append order with fixed
-    /// 3-decimal microsecond formatting.
-    ///
-    /// This buffered form is the *reference* for the streaming
-    /// [`write_chrome_trace`](Self::write_chrome_trace); the equality
-    /// tests diff the two byte-for-byte.
-    pub fn to_chrome_trace_json(&self) -> String {
-        let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-        for (pid, n) in self.nodes.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "{{\"ph\":\"M\",\"pid\":{pid},\"name\":\"process_name\",\
-                 \"args\":{{\"name\":\"{} ({} x{})\"}}}},",
-                n.name, n.kind, n.slots
-            );
-        }
-        for s in self.iter() {
-            let ts = s.launched_s * 1e6;
-            let dur = (s.finished_s - s.launched_s) * 1e6;
-            let wait = (s.launched_s - s.queued_s) * 1e6;
-            // Attempt/outcome/tier args only when non-default, so
-            // fault-free node-local traces stay byte-identical to the
-            // earlier formats.
-            let mut extra = String::new();
-            if s.attempt > 1 {
-                let _ = write!(extra, ",\"attempt\":{}", s.attempt);
-            }
-            if s.outcome != AttemptOutcome::Success {
-                let _ = write!(extra, ",\"outcome\":\"{}\"", s.outcome.as_str());
-            }
-            if s.tier != LocalityTier::NodeLocal {
-                let _ = write!(extra, ",\"tier\":\"{}\"", s.tier.as_str());
-            }
-            let _ = writeln!(
-                out,
-                "{{\"ph\":\"X\",\"pid\":{},\"tid\":{},\"ts\":{ts:.3},\"dur\":{dur:.3},\
-                 \"name\":\"{}-{}\",\"cat\":\"{}\",\
-                 \"args\":{{\"task\":{},\"wave\":{},\"wait_us\":{wait:.3}{extra}}}}},",
-                s.node, s.slot, s.phase, s.task, s.phase, s.task, s.wave
-            );
-        }
-        // Domain events (rack crashes, rack blacklists) as global
-        // instant events; absent without active failure domains, keeping
-        // legacy traces byte-identical.
-        for (t, label) in self.ann_time_s.iter().zip(&self.ann_label) {
-            let ts = t * 1e6;
-            let _ = writeln!(
-                out,
-                "{{\"ph\":\"i\",\"pid\":0,\"ts\":{ts:.3},\"name\":\"{label}\",\"s\":\"g\"}},"
-            );
-        }
-        // Trailing comma is invalid JSON; close with a sentinel metadata
-        // event instead of tracking "first".
-        out.push_str("{\"ph\":\"M\",\"pid\":0,\"name\":\"trace_end\",\"args\":{}}\n]}\n");
-        out
-    }
-
-    /// Streaming form of [`to_chrome_trace_json`](Self::to_chrome_trace_json):
-    /// writes the identical bytes incrementally to `w` (wrap files in a
-    /// `BufWriter`), so exporting a million-span trace needs no
-    /// trace-sized `String`. Memory stays flat in the span count.
+    /// Writes the Chrome-trace-viewer JSON (`chrome://tracing`, Perfetto)
+    /// to `w`: one `X` event per task span, `pid` = node, `tid` = slot,
+    /// timestamps in microseconds, plus process-name metadata per node.
+    /// Output is deterministic: spans are emitted in append order with
+    /// fixed 3-decimal microsecond formatting. Bytes go out incrementally
+    /// (wrap files in a `BufWriter`), so exporting a million-span trace
+    /// needs no trace-sized `String`.
     pub fn write_chrome_trace<W: io::Write>(&self, w: &mut W) -> io::Result<()> {
         w.write_all(b"{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n")?;
         for (pid, n) in self.nodes.iter().enumerate() {
@@ -2636,6 +2562,8 @@ impl ClusterTimeline {
             let attempt = self.attempt.get(i).copied().unwrap_or(1);
             let outcome = self.outcome.get(i).copied().unwrap_or_default();
             let tier = self.tier.get(i).copied().unwrap_or_default();
+            // Attempt/outcome/tier args only when non-default, so
+            // fault-free node-local traces keep the earlier format.
             extra.clear();
             if attempt > 1 {
                 let _ = write!(extra, ",\"attempt\":{attempt}");
@@ -2664,6 +2592,8 @@ impl ClusterTimeline {
                 self.wave.get(i).copied().unwrap_or(0),
             )?;
         }
+        // Domain events (rack crashes, rack blacklists) as global instant
+        // events; absent without active failure domains.
         for (t, label) in self.ann_time_s.iter().zip(&self.ann_label) {
             let ts = t * 1e6;
             writeln!(
@@ -2671,40 +2601,18 @@ impl ClusterTimeline {
                 "{{\"ph\":\"i\",\"pid\":0,\"ts\":{ts:.3},\"name\":\"{label}\",\"s\":\"g\"}},"
             )?;
         }
+        // A trailing comma is invalid JSON; close with a sentinel metadata
+        // event instead of tracking "first".
         w.write_all(b"{\"ph\":\"M\",\"pid\":0,\"name\":\"trace_end\",\"args\":{}}\n]}\n")
     }
 
-    /// Per-node utilization as CSV: `node,name,time_s,active_slots` step
-    /// rows (one per change point). When any span ran rack-local or
-    /// off-rack, three per-tier active-slot columns
-    /// (`node_local,rack_local,off_rack`) follow, so the export carries
-    /// the locality mix; flat (all node-local) runs keep the legacy
-    /// four-column format byte-for-byte.
-    ///
-    /// This buffered form is the *reference* for the streaming
-    /// [`write_utilization_csv`](Self::write_utilization_csv); the
-    /// equality tests diff the two byte-for-byte.
-    pub fn utilization_csv(&self) -> String {
-        if self.has_remote_tiers() {
-            let mut buf = Vec::new();
-            // Writes to a Vec cannot fail.
-            let _ = self.write_utilization_csv(&mut buf);
-            return String::from_utf8(buf).unwrap_or_default();
-        }
-        let mut out = String::from("node,name,time_s,active_slots\n");
-        for (i, n) in self.nodes.iter().enumerate() {
-            for (t, a) in self.active_steps(i) {
-                let _ = writeln!(out, "{i},{},{t:.6},{a}", n.name);
-            }
-        }
-        out
-    }
-
-    /// Streaming form of [`utilization_csv`](Self::utilization_csv):
-    /// identical bytes, written incrementally, with the per-node step
-    /// functions computed in one pass over the span columns
-    /// ([`active_steps_all`](Self::active_steps_all)) instead of one
-    /// full-timeline scan per node.
+    /// Writes per-node utilization as CSV to `w`:
+    /// `node,name,time_s,active_slots` step rows (one per change point).
+    /// When any span ran rack-local or off-rack, three per-tier
+    /// active-slot columns (`node_local,rack_local,off_rack`) follow, so
+    /// the export carries the locality mix; flat (all node-local) runs
+    /// keep the four-column format. The per-node step functions come
+    /// from one pass over the span columns.
     pub fn write_utilization_csv<W: io::Write>(&self, w: &mut W) -> io::Result<()> {
         if self.has_remote_tiers() {
             w.write_all(b"node,name,time_s,active_slots,node_local,rack_local,off_rack\n")?;
@@ -2730,6 +2638,7 @@ impl ClusterTimeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hhsim_testkit::streamed;
 
     fn set(tasks: usize, secs: f64) -> TaskSet {
         TaskSet {
@@ -3178,8 +3087,7 @@ mod tests {
         let c = Cluster::homogeneous(CoreKind::Big, 2, 2);
         let mut tl = ClusterTimeline::new(&c);
         tl.extend("map", 0.0, &spec);
-        for node in 0..2 {
-            let steps = tl.active_steps(node);
+        for steps in tl.active_steps_all() {
             assert_eq!(steps.last().expect("steps end").1, 0, "all slots drain");
         }
 
@@ -3238,7 +3146,7 @@ mod tests {
             run_phase(&c, &load, &mut FifoAnySlot, Some(&faults), None).expect("node0 survives");
         let mut tl = ClusterTimeline::new(&c);
         tl.extend("map", 0.0, &run);
-        let json = tl.to_chrome_trace_json();
+        let json = streamed(|w| tl.write_chrome_trace(w));
         assert!(
             json.contains("\"outcome\":\""),
             "wasted attempts are labelled in the trace"
@@ -3252,7 +3160,7 @@ mod tests {
             run_phase(&c, &load, &mut FifoAnySlot, None, None).expect("fault-free phase drains");
         let mut tl = ClusterTimeline::new(&c);
         tl.extend("map", 0.0, &clean);
-        let json = tl.to_chrome_trace_json();
+        let json = streamed(|w| tl.write_chrome_trace(w));
         assert!(!json.contains("\"outcome\""));
         assert!(!json.contains("\"attempt\""));
     }
@@ -3352,14 +3260,14 @@ mod tests {
         // event; clean runs carry none.
         let mut tl = ClusterTimeline::new(&c);
         tl.extend("map", 0.0, &run);
-        let json = tl.to_chrome_trace_json();
+        let json = streamed(|w| tl.write_chrome_trace(w));
         assert!(json.contains("\"name\":\"rack-crash:1\""));
         assert!(json.contains("\"ph\":\"i\""));
         let clean =
             run_phase(&c, &load, &mut FifoAnySlot, None, None).expect("fault-free phase drains");
         let mut tl = ClusterTimeline::new(&c);
         tl.extend("map", 0.0, &clean);
-        assert!(!tl.to_chrome_trace_json().contains("\"ph\":\"i\""));
+        assert!(!streamed(|w| tl.write_chrome_trace(w)).contains("\"ph\":\"i\""));
     }
 
     #[test]
@@ -3458,7 +3366,7 @@ mod tests {
         // The trace vocabulary carries the new outcomes.
         let mut tl = ClusterTimeline::new(&c);
         tl.extend("reduce", 0.0, &run);
-        let json = tl.to_chrome_trace_json();
+        let json = streamed(|w| tl.write_chrome_trace(w));
         assert!(json.contains("\"outcome\":\"fetch-failed\""));
         assert!(json.contains("\"outcome\":\"recovered\""));
         // Determinism: same plan, same bytes.
@@ -3572,22 +3480,22 @@ mod tests {
         assert_eq!(tl.len(), 7);
         assert!((tl.end_s() - (map.makespan_s + red.makespan_s)).abs() < 1e-9);
 
-        let json = tl.to_chrome_trace_json();
+        let json = streamed(|w| tl.write_chrome_trace(w));
         assert!(json.contains("\"ph\":\"X\""));
         assert!(json.contains("\"cat\":\"map\""));
         assert!(json.contains("\"cat\":\"reduce\""));
         assert!(json.contains("process_name"));
         assert!(!json.contains(",\n]"), "no trailing comma before array end");
 
-        let csv = tl.utilization_csv();
+        let csv = streamed(|w| tl.write_utilization_csv(w));
         assert!(csv.starts_with("node,name,time_s,active_slots"));
-        for i in 0..c.nodes.len() {
-            let steps = tl.active_steps(i);
+        let all = tl.active_steps_all();
+        assert_eq!(all.len(), c.nodes.len());
+        for steps in all {
             assert_eq!(steps.last().expect("steps end").1, 0, "all slots drain");
             for w in steps.windows(2) {
                 assert!(w[1].0 > w[0].0, "strictly increasing change points");
             }
-            assert!(tl.busy_slot_seconds(i) >= 0.0);
         }
     }
 }

@@ -840,8 +840,6 @@ fn charge_phase(
 ) -> f64 {
     let mut ph = ClusterTimeline::new(cluster);
     ph.extend("phase", 0.0, run);
-    // One pass over the span columns for every node's step function —
-    // the per-node `active_steps(i)` loop was O(nodes × spans).
     let mut steps = ph.active_steps_all();
     let mut dynamic_j = 0.0;
     for (i, (m, meter)) in machines.iter().zip(meters.iter_mut()).enumerate() {
@@ -1603,6 +1601,7 @@ impl ClusterPrep {
 mod tests {
     use super::*;
     use hhsim_arch::presets;
+    use hhsim_testkit::streamed;
 
     fn base(app: AppId, m: MachineModel) -> SimConfig {
         SimConfig::new(app, m)
@@ -1757,7 +1756,10 @@ mod tests {
         let (m2, t2) = simulate_cluster(&cfg);
         assert_eq!(m1, m2);
         assert_eq!(t1, t2);
-        assert_eq!(t1.to_chrome_trace_json(), t2.to_chrome_trace_json());
+        assert_eq!(
+            streamed(|w| t1.write_chrome_trace(w)),
+            streamed(|w| t2.write_chrome_trace(w))
+        );
     }
 
     #[test]
@@ -1778,7 +1780,10 @@ mod tests {
         let (m2, t2) = simulate_cluster(&mixed_none);
         assert_eq!(m1, m2);
         assert_eq!(t1, t2);
-        assert_eq!(t1.to_chrome_trace_json(), t2.to_chrome_trace_json());
+        assert_eq!(
+            streamed(|w| t1.write_chrome_trace(w)),
+            streamed(|w| t2.write_chrome_trace(w))
+        );
     }
 
     #[test]
@@ -1799,8 +1804,14 @@ mod tests {
         let (m2, t2) = simulate_cluster(&mixed_flat);
         assert_eq!(m1, m2);
         assert_eq!(t1, t2);
-        assert_eq!(t1.to_chrome_trace_json(), t2.to_chrome_trace_json());
-        assert_eq!(t1.utilization_csv(), t2.utilization_csv());
+        assert_eq!(
+            streamed(|w| t1.write_chrome_trace(w)),
+            streamed(|w| t2.write_chrome_trace(w))
+        );
+        assert_eq!(
+            streamed(|w| t1.write_utilization_csv(w)),
+            streamed(|w| t2.write_utilization_csv(w))
+        );
     }
 
     #[test]
@@ -1825,7 +1836,7 @@ mod tests {
             m.map_locality_tiers
         );
         // The trace carries the locality-tier vocabulary end to end.
-        let json = tl.to_chrome_trace_json();
+        let json = streamed(|w| tl.write_chrome_trace(w));
         assert!(m.breakdown.total() > 0.0);
         let _ = json;
     }

@@ -1,8 +1,9 @@
 //! The event-driven cluster engine against independent oracles.
 //!
 //! * **Parity**: a homogeneous cluster must reproduce, bit for bit, the
-//!   legacy flat-`SlotPool` makespan the figures were seeded with — the
-//!   reference is re-implemented here on the raw DES kernel.
+//!   legacy flat-slot-pool makespan the figures were seeded with — the
+//!   reference is plain list scheduling over a heap of slot-free times,
+//!   independent of the DES kernel.
 //! * **Heterogeneity**: growing the cluster with a big node never hurts;
 //!   little-only clusters never beat big-only ones on CPU-bound work.
 //! * **Placement oracle**: on tiny single-slot-per-node instances, the
@@ -15,26 +16,26 @@ use hhsim_core::cluster::{
     homogeneous_makespan, jitter, run_phase, Cluster, FifoAnySlot, KindPreferring, NodeTiming,
     PhaseLoad, TaskSet,
 };
-use hhsim_core::des::{SimTime, Simulation, SlotPool};
+use hhsim_core::des::SimTime;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
-/// The pre-refactor cluster model: one flat FIFO slot pool, every task
-/// identical, makespan read off the final simulation clock.
+/// The pre-refactor cluster model: one flat FIFO pool of `slots`
+/// identical slots, every task queued at time zero in index order. Each
+/// task starts on the slot that frees earliest; the makespan is the
+/// latest finish.
 fn legacy_flat_makespan(set: &TaskSet, slots: usize) -> f64 {
-    assert!(slots > 0);
-    if set.tasks == 0 {
-        return 0.0;
-    }
-    let mut sim = Simulation::new();
-    let pool = SlotPool::shared("slots", slots);
+    let mut free: BinaryHeap<Reverse<SimTime>> =
+        (0..slots).map(|_| Reverse(SimTime::ZERO)).collect();
+    let mut makespan = SimTime::ZERO;
     for i in 0..set.tasks {
-        let dur = SimTime::from_secs_f64(set.task_seconds * jitter(i) + set.overhead_seconds);
-        SlotPool::acquire(&pool, &mut sim, move |sim, guard| {
-            sim.schedule_in(dur, move |sim| guard.release(sim));
-        });
+        let Reverse(start) = free.pop().expect("at least one slot");
+        let end =
+            start + SimTime::from_secs_f64(set.task_seconds * jitter(i) + set.overhead_seconds);
+        makespan = makespan.max(end);
+        free.push(Reverse(end));
     }
-    // The last event is the last task's release: the final clock is the
-    // makespan — no completion-tracking cell needed.
-    sim.run().as_secs_f64()
+    makespan.as_secs_f64()
 }
 
 fn set(tasks: usize, task_seconds: f64, overhead_seconds: f64) -> TaskSet {
@@ -48,8 +49,14 @@ fn set(tasks: usize, task_seconds: f64, overhead_seconds: f64) -> TaskSet {
 #[test]
 fn engine_is_bit_identical_to_legacy_flat_pool() {
     let shapes = [(1usize, 8usize), (2, 4), (4, 2), (3, 5), (1, 1), (8, 1)];
-    let timings = [(0.5, 0.0), (10.0, 0.0), (123.456, 1.5), (7.25, 0.125)];
-    for tasks in [0usize, 1, 3, 7, 8, 12, 16, 33, 100] {
+    let timings = [
+        (0.5, 0.0),
+        (10.0, 0.0),
+        (123.456, 1.5),
+        (7.25, 0.125),
+        (1e-9, 0.0),
+    ];
+    for tasks in [0usize, 1, 3, 7, 8, 12, 16, 33, 100, 1000] {
         for (nodes, slots) in shapes {
             for (task_s, over_s) in timings {
                 let s = set(tasks, task_s, over_s);

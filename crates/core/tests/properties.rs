@@ -2,7 +2,8 @@
 //! hold for *every* configuration, not just the paper's grid. Driven by
 //! the in-repo deterministic testkit (offline replacement for proptest).
 
-use hhsim_core::arch::{presets, Frequency};
+use hhsim_core::arch::{presets, CoreKind, Frequency};
+use hhsim_core::cluster::{homogeneous_makespan, TaskSet};
 use hhsim_core::hdfs::BlockSize;
 use hhsim_core::workloads::AppId;
 use hhsim_core::{simulate, SimConfig};
@@ -101,5 +102,32 @@ fn time_monotone_in_frequency() {
             );
             assert!(hi.breakdown.total() <= lo.breakdown.total() * 1.001);
         }
+    });
+}
+
+/// Slot waves: `n` identical one-second tasks on `nodes` x `slots`
+/// finish after exactly ceil(n / (nodes * slots)) seconds — the waves law
+/// the cluster model relies on. Jitter scales only `task_seconds`, so
+/// zero task time plus one second of overhead is exactly one second.
+#[test]
+fn slot_pool_waves_law() {
+    check(64, |g| {
+        let n = g.usize(1..60);
+        let cap = g.usize(1..10);
+        let divisors: Vec<usize> = (1..=cap).filter(|d| cap % d == 0).collect();
+        let nodes = *g.pick(&divisors);
+        let kind = *g.pick(&[CoreKind::Big, CoreKind::Little]);
+        let set = TaskSet {
+            tasks: n,
+            task_seconds: 0.0,
+            overhead_seconds: 1.0,
+        };
+        let makespan = homogeneous_makespan(&set, nodes, cap / nodes, kind);
+        assert_eq!(
+            makespan,
+            n.div_ceil(cap) as f64,
+            "{n} tasks on {nodes}x{}",
+            cap / nodes
+        );
     });
 }

@@ -1,10 +1,8 @@
 //! Discrete-event simulation kernel for `hhsim`.
 //!
 //! This crate provides the minimal machinery the rest of the simulator is
-//! built on: a virtual clock ([`SimTime`]), an event calendar
-//! ([`Simulation`]) that executes scheduled closures in timestamp order, and
-//! a counted resource with a FIFO wait queue ([`SlotPool`]) used to model
-//! map/reduce task slots, disks and network links.
+//! built on: a virtual clock ([`SimTime`]) and an event calendar
+//! ([`Simulation`]) that executes scheduled closures in timestamp order.
 //!
 //! Determinism is a hard requirement — the whole paper reproduction depends
 //! on re-running an experiment and getting bit-identical timings — so ties in
@@ -27,11 +25,9 @@
 //! ```
 
 mod calendar;
-mod resource;
 mod sim;
 mod time;
 
 pub use calendar::{CalendarKind, AUTO_LADDER_THRESHOLD};
-pub use resource::{PoolStats, SharedSlotPool, SlotGuard, SlotPool};
 pub use sim::{EventId, Simulation};
 pub use time::SimTime;

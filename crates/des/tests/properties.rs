@@ -4,7 +4,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use hhsim_des::{SimTime, Simulation, SlotPool};
+use hhsim_des::{SimTime, Simulation};
 use hhsim_testkit::check;
 
 /// Events always execute in non-decreasing time order, whatever order
@@ -43,26 +43,6 @@ fn clock_is_monotone() {
             end,
             SimTime::from_nanos(*times.iter().max().expect("non-empty"))
         );
-    });
-}
-
-/// Slot-pool makespan: with capacity c and n identical unit tasks the
-/// makespan is exactly ceil(n/c) — the waves law the cluster model
-/// relies on.
-#[test]
-fn slot_pool_waves_law() {
-    check(64, |g| {
-        let n = g.usize(1..60);
-        let cap = g.usize(1..10);
-        let mut sim = Simulation::new();
-        let pool = SlotPool::shared("p", cap);
-        for _ in 0..n {
-            SlotPool::acquire(&pool, &mut sim, |sim, guard| {
-                sim.schedule_in(SimTime::from_secs(1), move |sim| guard.release(sim));
-            });
-        }
-        let end = sim.run();
-        assert_eq!(end, SimTime::from_secs(n.div_ceil(cap) as u64));
     });
 }
 

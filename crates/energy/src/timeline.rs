@@ -67,20 +67,6 @@ impl UtilizationTimeline {
         self.steps.iter().map(|&(_, a)| a).max().unwrap_or(0)
     }
 
-    /// Integral of the step function: busy slot-seconds.
-    pub fn busy_slot_seconds(&self) -> f64 {
-        self.pieces().map(|(dur, active)| dur * active as f64).sum()
-    }
-
-    /// Mean busy slots over the covered time (0 for an empty timeline).
-    pub fn mean_active(&self) -> f64 {
-        if self.end_s > 0.0 {
-            self.busy_slot_seconds() / self.end_s
-        } else {
-            0.0
-        }
-    }
-
     /// `(duration_s, active)` pieces in time order, covering `[0, end_s)`
     /// — the event-driven integration walk: one piece per slot
     /// transition, priced once, however long the phase runs.
@@ -120,8 +106,9 @@ mod tests {
     #[test]
     fn integral_counts_slot_seconds() {
         let tl = ramp();
-        assert!((tl.busy_slot_seconds() - 4.0).abs() < 1e-12);
-        assert!((tl.mean_active() - 1.0).abs() < 1e-12);
+        let slot_s: f64 = tl.pieces().map(|(d, a)| d * a as f64).sum();
+        assert!((slot_s - 4.0).abs() < 1e-12);
+        assert!((slot_s / tl.end_s() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -140,7 +127,6 @@ mod tests {
     fn empty_timeline_is_harmless() {
         let tl = UtilizationTimeline::new(Vec::new(), 0.0);
         assert_eq!(tl.peak(), 0);
-        assert_eq!(tl.mean_active(), 0.0);
         assert_eq!(tl.pieces().count(), 0);
     }
 

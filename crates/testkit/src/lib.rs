@@ -117,6 +117,18 @@ pub fn check(cases: u64, mut property: impl FnMut(&mut Gen)) {
     }
 }
 
+/// Runs a streaming writer into memory and returns the text it wrote —
+/// for tests that compare or search exported traces and CSVs.
+///
+/// # Panics
+///
+/// If the writer fails or writes invalid UTF-8.
+pub fn streamed(write: impl FnOnce(&mut Vec<u8>) -> std::io::Result<()>) -> String {
+    let mut buf = Vec::new();
+    write(&mut buf).expect("writing to a Vec cannot fail");
+    String::from_utf8(buf).expect("exports are UTF-8")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
